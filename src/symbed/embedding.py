@@ -1,8 +1,11 @@
 """Pipeline assembly: hash, rank, compare, and optionally quantize.
 
-Two modes: a fixed number of pivot columns, or a size budget where ranked
-pivot columns are appended until their total nonzero count exhausts
-``num_nodes * budget_dim`` values (the column crossing the budget is kept).
+One column path serves both modes.  It walks the PageRank order in chunks
+of pivot columns, scores every node against each chunk's pivots, quantizes
+the chunk, and stops by the mode's rule: fixed mode after ``d`` columns
+(taken as one chunk), the budgeted ("sdf") mode once the ranked columns'
+total nonzero count exhausts ``num_nodes * budget_dim`` values (the column
+crossing the budget is kept).
 
 Size bound of the budgeted mode: the columns before the crossing one hold at
 most ``num_nodes * budget_dim`` values; the total is at most that plus the
@@ -33,6 +36,8 @@ FORMAT_VERSION = 1
 MATRIX_FILE = "embedding.mtx"
 FEATURE_MAP_FILE = "feature_map.tsv"
 CONFIG_FILE = "config.json"
+
+_COLUMN_CHUNK = 128  # pivot columns per sdf pass of the column path
 
 
 class EmbeddingFormatError(ValueError):
@@ -88,7 +93,7 @@ class Embedding:
 
     @property
     def nnz(self) -> int:
-        return self.matrix.nnz if sp.issparse(self.matrix) else int(np.count_nonzero(self.matrix))
+        return self.matrix.nnz
 
     @property
     def value_payload_bytes(self) -> int:
@@ -122,16 +127,14 @@ def _l2_normalized_rows(h: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def _metric_columns(h: sp.csr_matrix, pivots: np.ndarray, metric: str,
-                    variances: np.ndarray | None = None,
-                    hn: sp.csr_matrix | None = None) -> sp.csr_matrix:
+                    hn: sp.csr_matrix | None) -> sp.csr_matrix:
     """Scores of every node against the given pivot nodes, one column each.
 
-    `hn` carries metric-specific preprocessed rows (see _prepare_metric) so
-    repeated calls in the budget loop do not redo the work.
+    `hn` holds the rows _prepare_metric(h, metric) returns, computed once so
+    the column path's chunks do not redo the work.
     """
     n = h.shape[0]
     if metric == "cosine":
-        hn = _l2_normalized_rows(h) if hn is None else hn
         s = (hn @ hn[pivots].T).tocsr()
         s.sort_indices()
         np.clip(s.data, 0.0, 1.0, out=s.data)
@@ -147,9 +150,7 @@ def _metric_columns(h: sp.csr_matrix, pivots: np.ndarray, metric: str,
         vals = inter.data / union
         return sp.csr_matrix((vals, (inter.row, inter.col)), shape=(n, len(pivots)))
     if metric in ("euclidean", "seuclidean"):
-        hs = h
-        if metric == "seuclidean":
-            hs = (h @ sp.diags(1.0 / np.asarray(variances))).tocsr() if hn is None else hn
+        hs = hn if metric == "seuclidean" else h
         sq = np.asarray(hs.multiply(hs).sum(axis=1)).ravel()
         g = (hs @ hs[pivots].T).toarray()
         d2 = sq[:, None] + sq[pivots][None, :] - 2.0 * g
@@ -178,12 +179,13 @@ def _set_exact_unit_diagonal(s: sp.csr_matrix, pivots: np.ndarray,
             s.data[lo + k] = 1.0
 
 
-def _prepare_metric(h: sp.csr_matrix, metric: str,
-                    variances: np.ndarray | None) -> sp.csr_matrix | None:
+def _prepare_metric(h: sp.csr_matrix, metric: str) -> sp.csr_matrix | None:
+    """Rows _metric_columns reads for the metric: unit rows for cosine,
+    variance-scaled rows for seuclidean, none for the other metrics."""
     if metric == "cosine":
         return _l2_normalized_rows(h)
     if metric == "seuclidean":
-        return (h @ sp.diags(1.0 / np.asarray(variances))).tocsr()
+        return (h @ sp.diags(1.0 / np.asarray(compute_variances(h)))).tocsr()
     return None
 
 
@@ -223,26 +225,55 @@ def _hash_and_rank(g: Graph, cfg: EmbeddingConfig, workers: int,
     return h, order
 
 
+def _check_mode(cfg: EmbeddingConfig, mode: str) -> None:
+    if cfg.mode != mode:
+        raise ValueError(f"embed_{mode} needs mode={mode!r}, got {cfg.mode!r}")
+
+
+def _embed(g: Graph, cfg: EmbeddingConfig, workers: int,
+           timings: dict | None) -> Embedding:
+    """The column path: ranked pivot columns, scored and quantized a chunk at
+    a time, until the rule of ``cfg.mode`` stops it."""
+    h, order = _hash_and_rank(g, cfg, workers, timings)
+    t0 = time.perf_counter()
+    prepared = _prepare_metric(h, cfg.metric)
+    bins = cfg.resolved_bins
+    sdf = cfg.mode == "sdf"
+    # fixed mode knows its width, so it takes all d columns as one chunk and
+    # never holds the chunks and their stacked copy at once
+    limit, step = (g.num_nodes, _COLUMN_CHUNK) if sdf else (cfg.d, cfg.d)
+    budget = g.num_nodes * cfg.budget_dim   # spent only in sdf mode
+    kept: list[sp.csr_matrix] = []
+    used = 0
+    while used < limit and budget >= 0:
+        cols = _metric_columns(h, order[used:used + step], cfg.metric, prepared)
+        if bins >= 2:
+            cols.data = _quantize_array(cols.data, bins)
+            cols.eliminate_zeros()
+        if sdf:
+            # column j enters while the budget left before it is >= 0
+            spent = np.cumsum(cols.getnnz(axis=0))
+            take = 1 + int(np.searchsorted(spent[:-1], budget, side="right"))
+            cols = cols[:, :take]
+            budget -= int(spent[take - 1])
+        kept.append(cols)
+        used += cols.shape[1]
+    m = sp.hstack(kept, format="csr") if len(kept) > 1 else kept[0]
+    if timings is not None:
+        timings["similarity"] = time.perf_counter() - t0
+    return Embedding(matrix=m, ind=np.asarray(order[:used], dtype=np.int64),
+                     config=_config_snapshot(cfg),
+                     value_bits=16 if bins >= 2 else 32)
+
+
 def embed_fixed(g: Graph, cfg: EmbeddingConfig | None = None, *,
                 workers: int = 1, timings: dict | None = None) -> Embedding:
     """Embedding with the top-d ranked nodes as columns."""
     cfg = cfg or EmbeddingConfig()
+    _check_mode(cfg, "fixed")
     if cfg.d > g.num_nodes:
         raise ValueError(f"d={cfg.d} exceeds the number of nodes {g.num_nodes}")
-    h, order = _hash_and_rank(g, cfg, workers, timings)
-    pivots = order[:cfg.d]
-    variances = compute_variances(h) if cfg.metric == "seuclidean" else None
-    t0 = time.perf_counter()
-    m = _metric_columns(h, pivots, cfg.metric, variances)
-    bins = cfg.resolved_bins
-    if bins >= 2:
-        m.data = _quantize_array(m.data, bins)
-        m.eliminate_zeros()
-    if timings is not None:
-        timings["similarity"] = time.perf_counter() - t0
-    return Embedding(matrix=m.tocsr(), ind=np.asarray(pivots, dtype=np.int64),
-                     config=_config_snapshot(cfg),
-                     value_bits=16 if bins >= 2 else 32)
+    return _embed(g, cfg, workers, timings)
 
 
 def embed_sdf(g: Graph, cfg: EmbeddingConfig | None = None, *,
@@ -261,49 +292,15 @@ def embed_sdf(g: Graph, cfg: EmbeddingConfig | None = None, *,
     was spent: the total exceeds ``num_nodes * budget_dim``.
     """
     cfg = cfg or EmbeddingConfig(mode="sdf")
-    n = g.num_nodes
-    h, order = _hash_and_rank(g, cfg, workers, timings)
-    variances = compute_variances(h) if cfg.metric == "seuclidean" else None
-    prepared = _prepare_metric(h, cfg.metric, variances)
-    bins = cfg.resolved_bins
-
-    t0 = time.perf_counter()
-    budget = n * cfg.budget_dim
-    chunk = 128
-    kept: list[sp.csr_matrix] = []
-    pivot_ids: list[int] = []
-    used = 0
-    while budget >= 0 and used < n:
-        ids = order[used:used + chunk]
-        cols = _metric_columns(h, ids, cfg.metric, variances, hn=prepared)
-        if bins >= 2:
-            cols.data = _quantize_array(cols.data, bins)
-            cols.eliminate_zeros()
-        csc = cols.tocsc()
-        per_col = np.diff(csc.indptr)
-        take = 0
-        for j in range(len(ids)):
-            if budget < 0 or used + take >= n:
-                break
-            take += 1
-            budget -= int(per_col[j])
-        kept.append(csc[:, :take].tocsr())
-        pivot_ids.extend(int(p) for p in ids[:take])
-        used += take
-    m = sp.hstack(kept, format="csr") if len(kept) > 1 else kept[0].tocsr()
-    if timings is not None:
-        timings["similarity"] = time.perf_counter() - t0
-    return Embedding(matrix=m, ind=np.asarray(pivot_ids, dtype=np.int64),
-                     config=_config_snapshot(cfg),
-                     value_bits=16 if bins >= 2 else 32)
+    _check_mode(cfg, "sdf")
+    return _embed(g, cfg, workers, timings)
 
 
 def save_embedding(e: Embedding, out_dir) -> None:
     """Write the embedding triple: matrix + feature map + config snapshot."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    mat = e.matrix if sp.issparse(e.matrix) else sp.coo_matrix(e.matrix)
-    mmwrite(out / MATRIX_FILE, mat.tocoo(), precision=17)
+    mmwrite(out / MATRIX_FILE, e.matrix.tocoo(), precision=17)
     with open(out / FEATURE_MAP_FILE, "w", encoding="utf-8") as fh:
         for j, node in enumerate(e.ind):
             fh.write(f"{j}\t{int(node)}\n")
@@ -337,14 +334,33 @@ def load_embedding(in_dir) -> Embedding:
         mat = mmread(src / MATRIX_FILE).tocsr()
     except Exception as exc:
         raise EmbeddingFormatError(f"{src / MATRIX_FILE}: {exc}") from None
-    ind = []
-    with open(src / FEATURE_MAP_FILE, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                _, node = line.split("\t")
-                ind.append(int(node))
     if list(meta["shape"]) != list(mat.shape):
         raise EmbeddingFormatError(
             f"matrix shape {mat.shape} does not match recorded {meta['shape']}")
+    ind = _read_feature_map(src / FEATURE_MAP_FILE, mat.shape[1])
     return Embedding(matrix=mat, ind=np.asarray(ind, dtype=np.int64),
                      config=meta["config"], value_bits=int(meta["value_bits"]))
+
+
+def _read_feature_map(path: Path, num_columns: int) -> list[int]:
+    """Pivot node ids from ``j<TAB>node`` lines, j running 0..num_columns-1."""
+    if not path.is_file():
+        raise EmbeddingFormatError(f"{path} not found")
+    ind: list[int] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                j, node = (int(part) for part in line.split("\t"))
+            except ValueError:
+                raise EmbeddingFormatError(
+                    f"{path}:{lineno}: expected 'column<TAB>node', got {line!r}") from None
+            if j != len(ind):
+                raise EmbeddingFormatError(
+                    f"{path}:{lineno}: column {j} out of order (expected {len(ind)})")
+            ind.append(node)
+    if len(ind) != num_columns:
+        raise EmbeddingFormatError(
+            f"{path}: {len(ind)} columns listed, the matrix has {num_columns}")
+    return ind

@@ -36,13 +36,7 @@ class LogRegParams:
     reg_strength: float = 1.0
     max_iter: int = 500
     tol: float = 1e-6
-    solver: str = "lbfgs"      # "lbfgs" | "gd" (gradient descent + backtracking)
-    learning_rate: float = 1.0
     record_history: bool = False  # keep per-iteration losses (costs extra evals)
-
-    def __post_init__(self):
-        if self.solver not in ("lbfgs", "gd"):
-            raise ValueError("solver must be 'lbfgs' or 'gd'")
 
 
 def logreg_loss_grad(theta: np.ndarray, X, Y: np.ndarray, reg: float):
@@ -96,39 +90,13 @@ def train_logreg(X, Y: np.ndarray, params: LogRegParams | None = None) -> LogReg
         ka = len(active)
         x0 = np.zeros(d * ka + ka)
         fun = lambda t: logreg_loss_grad(t, X, Ya, params.reg_strength)
-        if params.solver == "lbfgs":
-            callback = (lambda t: history.append(fun(t)[0])) if params.record_history else None
-            res = minimize(fun, x0, jac=True, method="L-BFGS-B", callback=callback,
-                           options={"maxiter": params.max_iter,
-                                    "gtol": params.tol, "ftol": 1e-12})
-            theta = res.x
-        else:
-            theta = _gradient_descent(fun, x0, params, history)
+        callback = (lambda t: history.append(fun(t)[0])) if params.record_history else None
+        theta = minimize(fun, x0, jac=True, method="L-BFGS-B", callback=callback,
+                         options={"maxiter": params.max_iter,
+                                  "gtol": params.tol, "ftol": 1e-12}).x
         W[:, active] = theta[:d * ka].reshape(d, ka)
         b[active] = theta[d * ka:]
     return LogRegModel(W, b, k, empty, history)
-
-
-def _gradient_descent(fun, x, params: LogRegParams, history: list) -> np.ndarray:
-    """Full-batch descent with Armijo backtracking; monotone by construction."""
-    loss, grad = fun(x)
-    step = params.learning_rate
-    for _ in range(params.max_iter):
-        gnorm = np.abs(grad).max()
-        if gnorm < params.tol:
-            break
-        while True:
-            cand = x - step * grad
-            new_loss, new_grad = fun(cand)
-            if new_loss <= loss - 1e-4 * step * float(grad @ grad):
-                break
-            step *= 0.5
-            if step < 1e-16:
-                return x
-        x, loss, grad = cand, new_loss, new_grad
-        history.append(loss)
-        step *= 2.0
-    return x
 
 
 def predict_topk(model: LogRegModel, x, k: int) -> frozenset[int]:
@@ -257,6 +225,30 @@ def _check_labels(labels: LabelTable) -> np.ndarray:
     return labeled
 
 
+def _split_runs(labels: LabelTable, cfg: ProtocolConfig, predictor):
+    """Micro and macro F1 of every (repetition, shuffle) cell, per fraction.
+
+    `predictor(rep)` is called once per repetition and returns a function
+    `predict(train, test)` giving the test nodes' predicted class sets.
+    Split RNG is keyed by ``[seed, rep, shuffle]``.
+    """
+    labeled = _check_labels(labels)
+    micro_runs, macro_runs = [], []
+    for rep in range(cfg.repetitions):
+        predict = predictor(rep)
+        for sh in range(cfg.shuffles):
+            rng = np.random.default_rng([cfg.seed, rep, sh])
+            mrow, grow = [], []
+            for frac in cfg.train_fractions:
+                train, test = _split(labeled, frac, rng)
+                micro, macro = micro_macro_f1(predict(train, test), labels, test)
+                mrow.append(micro)
+                grow.append(macro)
+            micro_runs.append(mrow)
+            macro_runs.append(grow)
+    return micro_runs, macro_runs
+
+
 def run_protocol(embedding: Embedding | None, labels: LabelTable,
                  cfg: ProtocolConfig | None = None, *,
                  embedding_factory=None) -> EvalReport:
@@ -271,30 +263,25 @@ def run_protocol(embedding: Embedding | None, labels: LabelTable,
     if embedding is None and embedding_factory is None:
         raise ProtocolError("need an embedding or an embedding factory")
     labels_k = labels.label_counts
-    labeled = _check_labels(labels)
     Y_full = np.asarray(labels.indicator().todense())
-    micro_runs, macro_runs = [], []
     empty_class_runs = 0
-    snapshot = dict(embedding.config) if embedding is not None else {}
-    for rep in range(cfg.repetitions):
+    snapshot = {}
+
+    def predictor(rep):
+        nonlocal snapshot
         emb = embedding_factory(rep) if embedding_factory is not None else embedding
         snapshot = dict(emb.config)
         X = emb.matrix
-        for sh in range(cfg.shuffles):
-            rng = np.random.default_rng([cfg.seed, rep, sh])
-            mrow, grow = [], []
-            for frac in cfg.train_fractions:
-                train, test = _split(labeled, frac, rng)
-                model = train_logreg(X[train], Y_full[train], cfg.classifier)
-                if model.empty_classes:
-                    empty_class_runs += 1
-                P = model.predict_proba(X[test])
-                preds = topk_sets(P, labels_k[test])
-                micro, macro = micro_macro_f1(preds, labels, test)
-                mrow.append(micro)
-                grow.append(macro)
-            micro_runs.append(mrow)
-            macro_runs.append(grow)
+
+        def predict(train, test):
+            nonlocal empty_class_runs
+            model = train_logreg(X[train], Y_full[train], cfg.classifier)
+            if model.empty_classes:
+                empty_class_runs += 1
+            return topk_sets(model.predict_proba(X[test]), labels_k[test])
+        return predict
+
+    micro_runs, macro_runs = _split_runs(labels, cfg, predictor)
     flags = {"runs_with_empty_train_class": empty_class_runs}
     return EvalReport.from_runs(cfg.train_fractions, micro_runs, macro_runs,
                                 flags, snapshot)
@@ -356,22 +343,12 @@ def run_protocol_lp(g: Graph, labels: LabelTable,
                     alpha: float = 0.9) -> EvalReport:
     """Label-propagation baseline under the identical split schedule."""
     cfg = cfg or ProtocolConfig()
-    labeled = _check_labels(labels)
-    labels_k = labels.label_counts
-    micro_runs, macro_runs = [], []
-    for rep in range(cfg.repetitions):
-        for sh in range(cfg.shuffles):
-            rng = np.random.default_rng([cfg.seed, rep, sh])
-            mrow, grow = [], []
-            for frac in cfg.train_fractions:
-                train, test = _split(labeled, frac, rng)
-                preds_all = label_propagation(g, labels, train, alpha)
-                preds = [preds_all[i] for i in test]
-                micro, macro = micro_macro_f1(preds, labels, test)
-                mrow.append(micro)
-                grow.append(macro)
-            micro_runs.append(mrow)
-            macro_runs.append(grow)
+
+    def predict(train, test):
+        preds_all = label_propagation(g, labels, train, alpha)
+        return [preds_all[i] for i in test]
+
+    micro_runs, macro_runs = _split_runs(labels, cfg, lambda rep: predict)
     return EvalReport.from_runs(cfg.train_fractions, micro_runs, macro_runs,
                                 {}, {"baseline": "label_propagation", "alpha": alpha})
 

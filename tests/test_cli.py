@@ -132,6 +132,13 @@ class TestEval:
         assert report["config"]["baseline"] == "random"
         assert report["config"]["dim"] == 64
 
+    def test_malformed_feature_map_is_data_error(self, dataset, tmp_path):
+        edges, labels = dataset
+        emb = self._embed(edges, tmp_path)
+        (emb / "feature_map.tsv").write_text("0 5\n")
+        assert run(["eval", emb, "--labels", labels, "--out", tmp_path / "x",
+                    "--fractions", "0.5", "--shuffles", 1, "--reps", 1]) == 2
+
     def test_lp_baseline_needs_edges(self, dataset, tmp_path):
         edges, labels = dataset
         emb = self._embed(edges, tmp_path)

@@ -120,6 +120,11 @@ class TestFixedMode:
         scaled = emb.matrix.data * 4
         np.testing.assert_allclose(scaled, np.round(scaled), atol=1e-12)
 
+    def test_sdf_config_rejected(self):
+        g = random_graph(20, 4, seed=1)
+        with pytest.raises(ValueError, match="mode"):
+            embed_fixed(g, small_cfg("sdf", d=10))
+
     def test_pivots_are_top_ranked(self):
         from symbed.ranking import pagerank, rank_nodes
         g = random_graph(40, 4, seed=13)
@@ -134,6 +139,26 @@ class TestSdfMode:
         g = random_graph(25, 4, seed=2)
         emb = embed_sdf(g, small_cfg("sdf", budget_dim=25, bins=0))
         assert emb.num_columns == 25
+
+    def test_fixed_config_rejected(self):
+        g = random_graph(20, 4, seed=1)
+        with pytest.raises(ValueError, match="mode"):
+            embed_sdf(g, small_cfg("fixed", budget_dim=4))
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean", "seuclidean",
+                                        "canberra", "jaccard"])
+    def test_fixed_is_prefix_of_generous_sdf(self, metric):
+        # k spans more than one 128-column chunk of the column path
+        g = random_graph(300, 4, seed=17)
+        k = 200
+        fixed = embed_fixed(g, small_cfg(d=k, bins=0, metric=metric))
+        sdf = embed_sdf(g, small_cfg("sdf", budget_dim=300, bins=0, metric=metric))
+        assert sdf.num_columns == g.num_nodes
+        head = sdf.matrix[:, :k]
+        np.testing.assert_array_equal(fixed.matrix.indptr, head.indptr)
+        np.testing.assert_array_equal(fixed.matrix.indices, head.indices)
+        np.testing.assert_array_equal(fixed.matrix.data, head.data)
+        np.testing.assert_array_equal(fixed.ind, sdf.ind[:k])
 
     def test_budget_dim_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -261,6 +286,30 @@ class TestPersistence:
         save_embedding(embed_fixed(g, small_cfg(d=3)), tmp_path / "e")
         (tmp_path / "e" / "embedding.mtx").write_text("not a matrix\n1 2 3\n")
         with pytest.raises(EmbeddingFormatError):
+            load_embedding(tmp_path / "e")
+
+    def _saved(self, tmp_path, d=10):
+        g = random_graph(20, 4, seed=1)
+        save_embedding(embed_fixed(g, small_cfg(d=d)), tmp_path / "e")
+        return tmp_path / "e"
+
+    def test_truncated_feature_map_rejected(self, tmp_path):
+        path = self._saved(tmp_path) / "feature_map.tsv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:4]))
+        with pytest.raises(EmbeddingFormatError, match="4 columns"):
+            load_embedding(tmp_path / "e")
+
+    @pytest.mark.parametrize("line", ["0 5", "0\t5\t7", "0\tfive", "3\t5"])
+    def test_malformed_feature_map_line_rejected(self, tmp_path, line):
+        path = self._saved(tmp_path) / "feature_map.tsv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(line + "\n" + "".join(lines[1:]))
+        with pytest.raises(EmbeddingFormatError, match="feature_map.tsv:1"):
+            load_embedding(tmp_path / "e")
+
+    def test_missing_feature_map_rejected(self, tmp_path):
+        (self._saved(tmp_path) / "feature_map.tsv").unlink()
+        with pytest.raises(EmbeddingFormatError, match="not found"):
             load_embedding(tmp_path / "e")
 
     def test_missing_directory(self, tmp_path):
