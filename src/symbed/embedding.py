@@ -297,7 +297,15 @@ def embed_sdf(g: Graph, cfg: EmbeddingConfig | None = None, *,
 
 
 def save_embedding(e: Embedding, out_dir) -> None:
-    """Write the embedding triple: matrix + feature map + config snapshot."""
+    """Write the embedding triple: matrix + feature map + config snapshot.
+
+    Raises ValueError, before writing anything, when ``e.ind`` does not name
+    one pivot node per column: load_embedding would reject such a triple.
+    """
+    if len(e.ind) != e.num_columns:
+        raise ValueError(f"feature map names {len(e.ind)} columns, the matrix "
+                         f"has {e.num_columns}: only pivot-column embeddings "
+                         f"can be saved")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     mmwrite(out / MATRIX_FILE, e.matrix.tocoo(), precision=17)

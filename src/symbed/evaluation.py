@@ -354,7 +354,10 @@ def run_protocol_lp(g: Graph, labels: LabelTable,
 
 
 def random_embedding(n: int, dim: int = 64, seed: int = 0) -> Embedding:
-    """Uniform(0, 1) dense embedding; columns carry no node identity."""
+    """Uniform(0, 1) dense embedding; columns carry no node identity.
+
+    Its empty ``ind`` names no pivot nodes, so save_embedding refuses it.
+    """
     if n < 1 or dim < 1:
         raise ValueError("n and dim must be >= 1")
     rng = np.random.default_rng(seed)

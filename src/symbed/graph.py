@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,6 +95,12 @@ def from_arcs(num_nodes, src, dst, weights=None, directed=True) -> Graph:
                  directed=directed)
 
 
+# The unweighted form write_edge_list emits: ASCII-digit ``src<TAB>dst``
+# lines, each ending in a newline.  The possessive quantifiers accept the same
+# files as plain ones without keeping backtracking state.
+_CANONICAL_EDGES = re.compile(rb"(?:[0-9]++\t[0-9]++\n)*+")
+
+
 def load_edge_list(path, directed: bool = False) -> Graph:
     """Load a tab-separated edge list: ``src<TAB>dst[<TAB>weight]`` per line.
 
@@ -100,7 +108,25 @@ def load_edge_list(path, directed: bool = False) -> Graph:
     nonnegative integers; the graph spans ids 0..max_id.  For undirected
     input every line produces both arcs.  Duplicate lines become parallel
     arcs and self-loops are preserved.
+
+    A nonempty file of canonical unweighted lines is parsed in one
+    ``np.loadtxt`` call; every other file, and any file ``loadtxt`` rejects,
+    goes through the line-by-line parser, which owns all error reporting.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data and _CANONICAL_EDGES.fullmatch(data):
+        try:
+            arcs = np.loadtxt(io.StringIO(data.decode("ascii")), dtype=np.int64,
+                              delimiter="\t", ndmin=2)
+        except ValueError:
+            pass  # e.g. an id beyond int64: left to the line parser
+        else:
+            u, v = arcs[:, 0], arcs[:, 1]
+            if not directed:
+                # unweighted arcs: from_arcs' sort makes their order irrelevant
+                u, v = np.concatenate([u, v]), np.concatenate([v, u])
+            return from_arcs(int(arcs.max()) + 1, u, v, directed=directed)
     srcs, dsts, ws = [], [], []
     any_weight = False
     with open(path, "r", encoding="utf-8") as fh:

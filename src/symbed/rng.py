@@ -23,11 +23,18 @@ def mix64(x):
 
     uint64 arithmetic wraps modulo 2**64 by design.
     """
-    x = np.asarray(x, dtype=np.uint64)
+    return _mix64_inplace(np.array(x, dtype=np.uint64))[()]
+
+
+def _mix64_inplace(x: np.ndarray) -> np.ndarray:
+    """mix64 overwriting the uint64 array x, with one scratch array."""
+    shifted = np.empty_like(x)
     with np.errstate(over="ignore"):
-        x = (x ^ (x >> np.uint64(30))) * _MIX1
-        x = (x ^ (x >> np.uint64(27))) * _MIX2
-    return x ^ (x >> np.uint64(31))
+        for shift, mult in ((30, _MIX1), (27, _MIX2)):
+            x ^= np.right_shift(x, np.uint64(shift), out=shifted)
+            x *= mult
+        x ^= np.right_shift(x, np.uint64(31), out=shifted)
+    return x
 
 
 def stream_key(seed: int, node) -> np.ndarray:
@@ -37,16 +44,28 @@ def stream_key(seed: int, node) -> np.ndarray:
         return mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN * (node + np.uint64(1)))
 
 
+def skip_ahead(key, index):
+    """Key of the stream(s) that begin at the index-th draw of `key`.
+
+    ``uniform_at(skip_ahead(k, i), j) == uniform_at(k, i + j)``: the counter
+    enters the mix only through ``key + _GOLDEN * (index + 1)``, which wraps
+    modulo 2**64, so moving a stream's origin is one add.
+    """
+    key = np.asarray(key, dtype=np.uint64)
+    index = np.asarray(index, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        return key + _GOLDEN * index
+
+
 def uniform_at(key, index):
     """The index-th uniform in [0, 1) of the stream(s) with the given key(s).
 
     Pure function of (key, index); broadcasting applies.
     """
-    key = np.asarray(key, dtype=np.uint64)
-    index = np.asarray(index, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        bits = mix64(key + _GOLDEN * (index + np.uint64(1)))
-    return (bits >> np.uint64(11)).astype(np.float64) * _U53_INV
+    bits = np.asarray(skip_ahead(key, np.asarray(index, dtype=np.uint64) + np.uint64(1)))
+    _mix64_inplace(bits)
+    bits >>= np.uint64(11)
+    return bits * _U53_INV
 
 
 class CounterStream:

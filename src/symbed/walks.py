@@ -3,7 +3,9 @@
 Each node is described by a sparse "hash vector": the frequency of every
 node visited by short random walks started there, pruned by a relative
 threshold epsilon and re-normalized to sum 1.  Walk generation and hashing
-are fused so walks are never stored.
+are fused so walks are never stored: `hash_all` steps the walks of a block of
+start nodes together, records each visit as one packed ``row * n + node``
+key, and counts the block's visits with one sort of those keys.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import Graph
-from .rng import CounterStream, stream_key, uniform_at
+from .rng import CounterStream, skip_ahead, stream_key, uniform_at
 
 
 def _uniform_lengths(max_len: int = 5) -> np.ndarray:
@@ -99,9 +101,11 @@ def walk_lengths(cfg: WalkConfig) -> np.ndarray:
 
 
 def _weight_cumsum(g: Graph) -> np.ndarray | None:
+    """Running arc-weight sums with a leading 0: the out-arcs of node c hold
+    weight ``wcum[offsets[c + 1]] - wcum[offsets[c]]``."""
     if g.weights is None:
         return None
-    return np.cumsum(g.weights, dtype=np.float64)
+    return np.concatenate([[0.0], np.cumsum(g.weights, dtype=np.float64)])
 
 
 def random_walk(g: Graph, start: int, wl: int, rng: CounterStream,
@@ -128,11 +132,11 @@ def random_walk(g: Graph, start: int, wl: int, rng: CounterStream,
             break
         u = rng.uniform()
         if weighted:
-            base = _wcum[lo - 1] if lo > 0 else 0.0
-            total = _wcum[hi - 1] - base
+            base = _wcum[lo]
+            total = _wcum[hi] - base
             if total <= 0.0:
                 break
-            k = int(np.searchsorted(_wcum, base + u * total, side="right"))
+            k = int(np.searchsorted(_wcum, base + u * total, side="right")) - 1
             c = int(g.targets[min(k, hi - 1)])
         else:
             c = int(g.targets[lo + min(int(u * deg), deg - 1)])
@@ -165,68 +169,90 @@ def hash_node(g: Graph, n: int, cfg: WalkConfig) -> HashVector:
 
 def _hash_block(g: Graph, nodes: np.ndarray, lengths: np.ndarray,
                 cfg: WalkConfig, wcum: np.ndarray | None) -> sp.csr_matrix:
-    """Vectorized walks + hashing for a block of start nodes."""
-    nb, nw, s = len(nodes), len(lengths), cfg.max_len
-    start_local = np.repeat(np.arange(nb, dtype=np.int32), nw)
-    walk_j = np.tile(np.arange(nw, dtype=np.uint64), nb)
-    wl = np.tile(lengths.astype(np.int32), nb)
-    keys = stream_key(cfg.seed, nodes.astype(np.uint64))[start_local]
+    """Vectorized walks + hashing for a block of start nodes.
+
+    Every visit is recorded as one packed int64 key ``row * n + node``, with
+    ``row`` the start node's position in the block.  One sort of the block's
+    keys puts the visits in CSR order, and each run of equal keys is one
+    (row, node) entry whose length is its visit count.  Epsilon pruning, the
+    keep-the-most-visited-node fallback and renormalization are then segment
+    operations over those runs.
+    """
+    n, nb, nw, s = g.num_nodes, len(nodes), len(lengths), cfg.max_len
+    # Slot k * nb + r holds walk order[k] of row r.  Longest walks come first,
+    # so the walks still stepping at step t are a prefix of the slots; a walk
+    # that reached a dead end stays there and is masked out by its degree.
+    order = np.argsort(-lengths, kind="stable")
+    stepping = nb * np.count_nonzero(lengths[:, None] > np.arange(s), axis=0)
+    keys = np.empty(nb + int(stepping.sum()), dtype=np.int64)
+    walk_key = skip_ahead(stream_key(cfg.seed, nodes.astype(np.uint64)),
+                          (order.astype(np.uint64) * np.uint64(s))[:, None]).ravel()
+    row_key = np.arange(nb, dtype=np.int64) * n
+    slot_key = np.tile(row_key, nw)
     degrees = g.out_degrees
 
-    cur = nodes.astype(np.int32)[start_local]
-    alive = np.ones(nb * nw, dtype=bool)
-    rows = [start_local.copy()]
-    cols = [cur.copy()]
-    smax = np.uint64(s)
+    cur = np.tile(nodes.astype(np.int64), nw)
+    # every walk visits its start node: one key per row stands for all nw
+    self_key = row_key + nodes
+    keys[:nb] = self_key
+    end = nb
     for t in range(s):
-        stepping = alive & (wl > t)
-        if not stepping.any():
-            break
-        deg = degrees[cur]
-        can = stepping & (deg > 0)
+        c = cur[:stepping[t]]
+        deg = degrees[c]
+        can = deg > 0
         if cfg.weighted:
-            lo = g.offsets[cur]
-            hi = g.offsets[cur + 1]
-            base = np.where(lo > 0, wcum[lo - 1], 0.0)
-            total = wcum[hi - 1] - base
+            hi = g.offsets[c + 1]
+            base = wcum[g.offsets[c]]
+            total = wcum[hi] - base
             can &= total > 0.0
-        act = np.flatnonzero(can)
-        if len(act):
-            u = uniform_at(keys[act], walk_j[act] * smax + np.uint64(t))
-            if cfg.weighted:
-                k = np.searchsorted(wcum, base[act] + u * total[act], side="right")
-                k = np.minimum(k, hi[act] - 1)
-                cur[act] = g.targets[k]
-            else:
-                d = deg[act]
-                step = np.minimum((u * d).astype(np.int64), d - 1)
-                cur[act] = g.targets[g.offsets[cur[act]] + step]
-            rows.append(start_local[act])
-            cols.append(cur[act])
-        alive = can
+        act = slice(len(c)) if can.all() else np.flatnonzero(can)
+        u = uniform_at(walk_key[act], t)
+        if cfg.weighted:
+            k = np.searchsorted(wcum, base[act] + u * total[act], side="right") - 1
+            cur[act] = g.targets[np.minimum(k, hi[act] - 1)]
+        else:
+            d = deg[act]
+            u *= d
+            step = np.minimum(u.astype(np.int64), d - 1)
+            step += g.offsets[cur[act]]
+            cur[act] = g.targets[step]
+        m = len(u)
+        np.add(slot_key[act], cur[act], out=keys[end:end + m])
+        end += m
 
-    visits_r = np.concatenate(rows)
-    visits_c = np.concatenate(cols)
-    counts = sp.coo_matrix(
-        (np.ones(len(visits_r), dtype=np.int32), (visits_r, visits_c)),
-        shape=(nb, g.num_nodes)).tocsr()
+    keys = keys[:end]
+    keys.sort()
+    row_bounds = np.append(row_key, nb * n)
+    thresh = (np.diff(np.searchsorted(keys, row_bounds)) + (nw - 1)) * cfg.epsilon
+    run_first = np.empty(len(keys), dtype=bool)
+    run_first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=run_first[1:])
+    run_start = np.flatnonzero(run_first)
+    entry = keys[run_start]
+    counts = np.diff(run_start, append=len(keys))
+    counts[np.searchsorted(entry, self_key)] += nw - 1
+    row_ptr = np.searchsorted(entry, row_bounds)
+    row_len = np.diff(row_ptr)
 
-    totals = np.asarray(counts.sum(axis=1)).ravel()
-    row_of = np.repeat(np.arange(nb), np.diff(counts.indptr))
-    keep = counts.data >= totals[row_of] * cfg.epsilon
-    kept_rows = np.bincount(row_of[keep], minlength=nb)
-    for r in np.flatnonzero(kept_rows == 0):
-        lo, hi = counts.indptr[r], counts.indptr[r + 1]
-        keep[lo + int(np.argmax(counts.data[lo:hi]))] = True
-        kept_rows[r] = 1
-
-    data = counts.data[keep]
-    kept_sums = np.bincount(row_of[keep], weights=data, minlength=nb)
-    values = data / kept_sums[row_of[keep]]
+    keep = counts >= np.repeat(thresh, row_len)
+    kept_len = np.add.reduceat(keep, row_ptr[:-1], dtype=np.int64)
+    empty = kept_len == 0
+    if empty.any():
+        # a row whose every entry falls below the threshold keeps its first
+        # (lowest-id) most-visited one; every row holds its start node, so
+        # no segment here is empty
+        top = np.repeat(np.maximum.reduceat(counts, row_ptr[:-1]), row_len)
+        tied = np.flatnonzero((counts == top) & np.repeat(empty, row_len))
+        keep[tied[np.searchsorted(tied, row_ptr[:-1][empty])]] = True
+        kept_len[empty] = 1
     indptr = np.zeros(nb + 1, dtype=np.int64)
-    np.cumsum(kept_rows, out=indptr[1:])
-    return sp.csr_matrix((values, counts.indices[keep], indptr),
-                         shape=(nb, g.num_nodes))
+    np.cumsum(kept_len, out=indptr[1:])
+    kept = np.flatnonzero(keep)
+    data = counts[kept]
+    # integer sums are exact, so these values match a float accumulation
+    values = data / np.repeat(np.add.reduceat(data, indptr[:-1]), kept_len)
+    return sp.csr_matrix((values, entry[kept] - np.repeat(row_key, kept_len), indptr),
+                         shape=(nb, n))
 
 
 def hash_all(g: Graph, cfg: WalkConfig, workers: int = 1) -> sp.csr_matrix:

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from symbed.embedding import (Embedding, EmbeddingConfig, EmbeddingFormatError,
                               digitize, embed_fixed, embed_sdf, load_embedding,
                               save_embedding)
+from symbed.evaluation import random_embedding
 from symbed.graph import from_arcs
 from symbed.ranking import PageRankConfig
 from symbed.similarity import compute_variances, similarity
@@ -311,6 +312,12 @@ class TestPersistence:
         (self._saved(tmp_path) / "feature_map.tsv").unlink()
         with pytest.raises(EmbeddingFormatError, match="not found"):
             load_embedding(tmp_path / "e")
+
+    def test_unnamed_columns_not_saved(self, tmp_path):
+        # random_embedding's columns name no pivot node; load would reject it
+        with pytest.raises(ValueError, match="0 columns, the matrix has 8"):
+            save_embedding(random_embedding(30, 8), tmp_path / "e")
+        assert not (tmp_path / "e").exists()
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(EmbeddingFormatError, match="not found"):

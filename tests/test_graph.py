@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbed.graph import (DatasetStats, GraphFormatError, LabelError,
                           connected_components, dataset_stats, from_arcs,
@@ -87,6 +92,38 @@ class TestRoundTrip:
         write_edge_list(g, path)
         g2 = load_edge_list(path, directed=False)
         assert g2.num_edges == 6
+
+
+@st.composite
+def multigraphs(draw):
+    """Small directed or undirected multigraphs with self-loops and parallel arcs."""
+    n = draw(st.integers(1, 2000))
+    ids = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=30))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=5))  # parallel arcs
+    src, dst = (np.array(c) for c in zip(*pairs))
+    directed = draw(st.booleans())
+    if not directed:
+        src, dst = np.r_[src, dst], np.r_[dst, src]
+    return from_arcs(n, src, dst, directed=directed)
+
+
+class TestCanonicalFastPath:
+    @settings(max_examples=60, deadline=None)
+    @given(g=multigraphs())
+    def test_matches_line_parser(self, g):
+        # a leading comment sends the same arcs through the line parser
+        with tempfile.TemporaryDirectory() as tmp:
+            fast, slow = Path(tmp, "fast.tsv"), Path(tmp, "slow.tsv")
+            write_edge_list(g, fast)
+            slow.write_text("# x\n" + fast.read_text())
+            a = load_edge_list(fast, directed=g.directed)
+            b = load_edge_list(slow, directed=g.directed)
+        assert a.num_nodes == b.num_nodes
+        assert a.directed == b.directed == g.directed
+        assert np.array_equal(a.offsets, b.offsets)
+        assert np.array_equal(a.targets, b.targets)
+        assert a.weights is None and b.weights is None
 
 
 class TestLoadLabels:

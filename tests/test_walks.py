@@ -2,13 +2,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbed.graph import from_arcs
 from symbed.rng import CounterStream
 from symbed.synth import random_graph
-from symbed.walks import (HashVector, WalkConfig, dump_hashes, hash_all,
-                          hash_node, hash_row, random_walk,
-                          sample_walk_length, walk_lengths)
+from symbed.walks import (HashVector, WalkConfig, _hash_block, _weight_cumsum,
+                          dump_hashes, hash_all, hash_node, hash_row,
+                          random_walk, sample_walk_length, walk_lengths)
 
 
 def point_mass(length, max_len=None):
@@ -206,6 +209,111 @@ class TestHashAll:
         assert peak < budget, f"peak {peak} above O(n/eps) budget {budget}"
         assert peak < dense // 10, f"peak {peak} not far below dense {dense}"
         assert H.shape == (n, n)
+
+
+@st.composite
+def walk_graphs(draw):
+    """Small directed multigraphs with self-loops, parallel arcs and dead
+    ends, optionally weighted with some zero-weight arcs."""
+    n = draw(st.integers(1, 9))
+    ids = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=25))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    src = np.array([u for u, _ in pairs], dtype=np.int64)
+    dst = np.array([v for _, v in pairs], dtype=np.int64)
+    weights = None
+    if draw(st.booleans()):
+        weights = np.array(draw(st.lists(
+            st.sampled_from([0.0, 0.25, 1.0, 3.5]),
+            min_size=len(pairs), max_size=len(pairs))), dtype=np.float64)
+    return from_arcs(n, src, dst, weights, directed=True)
+
+
+class TestSortedCounting:
+    """The sorted-key counting in hash_all, against the per-node reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=walk_graphs(), eps=st.sampled_from([0.0, 0.005, 0.3, 0.9]),
+           num_walks=st.integers(1, 12), seed=st.integers(0, 2**32),
+           data=st.data())
+    def test_rows_and_blocks_match_reference(self, g, eps, num_walks, seed, data):
+        cfg = WalkConfig(num_walks=num_walks, epsilon=eps, seed=seed,
+                         weighted=g.weights is not None)
+        H = hash_all(g, cfg)
+        for i in range(g.num_nodes):
+            ref, got = hash_node(g, i, cfg), hash_row(H, i)
+            assert np.array_equal(ref.indices, got.indices), f"node {i}"
+            assert np.array_equal(ref.values, got.values), f"node {i}"
+        # any split into consecutive node ranges stacks to the same matrix
+        cuts = data.draw(st.sets(st.integers(1, g.num_nodes - 1))
+                         if g.num_nodes > 1 else st.just(set()))
+        bounds = [0, *sorted(cuts), g.num_nodes]
+        wcum = _weight_cumsum(g) if cfg.weighted else None
+        parts = [_hash_block(g, np.arange(lo, hi), walk_lengths(cfg), cfg, wcum)
+                 for lo, hi in zip(bounds, bounds[1:])]
+        S = sp.vstack(parts, format="csr")
+        assert np.array_equal(S.indptr, H.indptr)
+        assert np.array_equal(S.indices, H.indices)
+        assert np.array_equal(S.data, H.data)
+
+
+def transition_matrix(g):
+    """Dense row-stochastic P; rows of dead ends (and of zero total weight)
+    stay zero, because a walk stops there."""
+    w = g.weights if g.weights is not None else np.ones(g.num_edges)
+    src = np.repeat(np.arange(g.num_nodes), g.out_degrees)
+    P = np.zeros((g.num_nodes, g.num_nodes))
+    np.add.at(P, (src, g.targets), w)
+    rows = P.sum(axis=1, keepdims=True)
+    return np.divide(P, rows, out=np.zeros_like(P), where=rows > 0)
+
+
+def expected_hash(g, cfg):
+    """Exact expected visit frequencies for epsilon = 0.
+
+    E = I + sum_{t=1..max_len} Pr(L >= t) P^t, with Pr(L >= t) taken from the
+    shared walk-length array, then each row normalized to sum 1.
+    """
+    P = transition_matrix(g)
+    lengths = walk_lengths(cfg)
+    E = np.eye(g.num_nodes)
+    Pt = np.eye(g.num_nodes)
+    for t in range(1, cfg.max_len + 1):
+        Pt = Pt @ P
+        E += np.mean(lengths >= t) * Pt
+    return E / E.sum(axis=1, keepdims=True)
+
+
+class TestExpectedVisits:
+    """hash_all converges to the exact expectation at rate 1/sqrt(num_walks).
+
+    Comparing hash_all with hash_node cannot catch a bias the two samplers
+    share, such as an off-by-one neighbour pick; this oracle does.
+    """
+
+    @staticmethod
+    def graph(dead_ends, weighted):
+        rng = np.random.default_rng(8)
+        n = 30
+        src = rng.integers(0, n, 120)
+        dst = rng.integers(0, n, 120)
+        if dead_ends:  # every fifth node has no out-arcs
+            src, dst = src[src % 5 != 0], dst[src % 5 != 0]
+        w = None
+        if weighted:
+            w = rng.choice([0.0, 0.5, 1.0, 4.0], size=len(src))
+        return from_arcs(n, src, dst, w, directed=True)
+
+    @pytest.mark.parametrize("num_walks", [256, 4096])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("dead_ends", [False, True])
+    def test_within_two_over_root_walks(self, dead_ends, weighted, seed, num_walks):
+        g = self.graph(dead_ends, weighted)
+        cfg = WalkConfig(num_walks=num_walks, epsilon=0.0, seed=seed,
+                         weighted=weighted)
+        err = np.abs(hash_all(g, cfg).toarray() - expected_hash(g, cfg)).max()
+        assert err < 2 / np.sqrt(num_walks)
 
 
 class TestDump:
