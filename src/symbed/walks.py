@@ -184,7 +184,9 @@ def _hash_block(g: Graph, nodes: np.ndarray, lengths: np.ndarray,
     # that reached a dead end stays there and is masked out by its degree.
     order = np.argsort(-lengths, kind="stable")
     stepping = nb * np.count_nonzero(lengths[:, None] > np.arange(s), axis=0)
-    keys = np.empty(nb + int(stepping.sum()), dtype=np.int64)
+    # room for every walk at full length; pages past the visits actually
+    # made are never touched
+    keys = np.empty(nb * (nw * s + 1), dtype=np.int64)
     walk_key = skip_ahead(stream_key(cfg.seed, nodes.astype(np.uint64)),
                           (order.astype(np.uint64) * np.uint64(s))[:, None]).ravel()
     row_key = np.arange(nb, dtype=np.int64) * n
