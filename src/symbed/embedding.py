@@ -7,6 +7,12 @@ the chunk, and stops by the mode's rule: fixed mode after ``d`` columns
 total nonzero count exhausts ``num_nodes * budget_dim`` values (the column
 crossing the budget is kept).
 
+Chunks are column-major: a chunk is computed pivot-major, as the pivots'
+rows times a transpose of the node rows that is converted to CSR once, and
+that product's transpose is an ``n x chunk`` CSC block.  Quantization and
+the budget count work on the CSC blocks; the kept blocks are stacked as CSC
+and converted to CSR once at the end, which also sorts each row's indices.
+
 Size bound of the budgeted mode: the columns before the crossing one hold at
 most ``num_nodes * budget_dim`` values; the total is at most that plus the
 crossing column's nnz, itself at most ``num_nodes``.  So the 16-bit byte
@@ -127,66 +133,74 @@ def _l2_normalized_rows(h: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def _metric_columns(h: sp.csr_matrix, pivots: np.ndarray, metric: str,
-                    hn: sp.csr_matrix | None) -> sp.csr_matrix:
-    """Scores of every node against the given pivot nodes, one column each.
+                    prepared: tuple[sp.csr_matrix, sp.csr_matrix] | None
+                    ) -> sp.csc_matrix:
+    """Scores of every node against the given pivot nodes, one CSC column each.
 
-    `hn` holds the rows _prepare_metric(h, metric) returns, computed once so
-    the column path's chunks do not redo the work.
+    `prepared` is what _prepare_metric(h, metric) returns, computed once so
+    the column path's chunks do not redo the work.  The product metrics
+    compute a chunk pivot-major, ``rows[pivots] @ rows_t``: only the pivots'
+    rows are walked, and the product's transpose is the ``n x len(pivots)``
+    CSC block, with no conversion per chunk.  Every row of ``rows`` lists its
+    features in one order, so each score sums the same products in the same
+    order as ``rows @ rows[pivots].T`` would: the values are the same bits.
     """
     n = h.shape[0]
+    if metric == "canberra":
+        # no product decomposition; chunked dense evaluation
+        pdense = np.asarray(h[pivots].todense())
+        out = []
+        step = max(1, 2_000_000 // max(h.shape[1], 1))
+        for lo in range(0, n, step):
+            block = np.asarray(h[lo:lo + step].todense())
+            out.append(cdist(block, pdense, metric="canberra"))
+        return sp.csc_matrix(np.vstack(out))
+    rows, rows_t = prepared
+    s = (rows[pivots] @ rows_t).T
     if metric == "cosine":
-        s = (hn @ hn[pivots].T).tocsr()
-        s.sort_indices()
         np.clip(s.data, 0.0, 1.0, out=s.data)
         _set_exact_unit_diagonal(s, pivots, h)
         return s
     if metric == "jaccard":
-        b = h.copy()
-        b.data = np.ones_like(b.data)
-        inter = (b @ b[pivots].T).tocoo()
+        # rows are 0/1, so s holds intersection sizes
         sizes = np.diff(h.indptr)
-        psizes = sizes[pivots]
-        union = sizes[inter.row] + psizes[inter.col] - inter.data
-        vals = inter.data / union
-        return sp.csr_matrix((vals, (inter.row, inter.col)), shape=(n, len(pivots)))
-    if metric in ("euclidean", "seuclidean"):
-        hs = hn if metric == "seuclidean" else h
-        sq = np.asarray(hs.multiply(hs).sum(axis=1)).ravel()
-        g = (hs @ hs[pivots].T).toarray()
-        d2 = sq[:, None] + sq[pivots][None, :] - 2.0 * g
-        np.clip(d2, 0.0, None, out=d2)
-        return sp.csr_matrix(np.sqrt(d2))
-    # canberra: no product decomposition; chunked dense evaluation
-    pdense = np.asarray(h[pivots].todense())
-    out = []
-    step = max(1, 2_000_000 // max(h.shape[1], 1))
-    for lo in range(0, n, step):
-        block = np.asarray(h[lo:lo + step].todense())
-        out.append(cdist(block, pdense, metric="canberra"))
-    return sp.csr_matrix(np.vstack(out))
+        per_col = np.diff(s.indptr)
+        union = sizes[s.indices] + np.repeat(sizes[pivots], per_col) - s.data
+        return sp.csc_matrix((s.data / union, s.indices, s.indptr), shape=s.shape)
+    # euclidean and seuclidean: |a|^2 + |b|^2 - 2 a.b, densified
+    sq = np.asarray(rows.multiply(rows).sum(axis=1)).ravel()
+    d2 = sq[:, None] + sq[pivots][None, :] - 2.0 * s.toarray()
+    np.clip(d2, 0.0, None, out=d2)
+    return sp.csc_matrix(np.sqrt(d2))
 
 
-def _set_exact_unit_diagonal(s: sp.csr_matrix, pivots: np.ndarray,
+def _set_exact_unit_diagonal(s: sp.csc_matrix, pivots: np.ndarray,
                              h: sp.csr_matrix) -> None:
     """Cosine of a nonempty hash with itself is exactly 1; fix rounding."""
-    nnz_rows = np.diff(h.indptr)
-    for j, p in enumerate(pivots):
-        if nnz_rows[p] == 0:
-            continue
-        lo, hi = s.indptr[p], s.indptr[p + 1]
-        k = np.searchsorted(s.indices[lo:hi], j)
-        if k < hi - lo and s.indices[lo + k] == j:
-            s.data[lo + k] = 1.0
+    per_col = np.diff(s.indptr)
+    nonempty = np.diff(h.indptr)[pivots] > 0
+    own = (s.indices == np.repeat(pivots, per_col)) & np.repeat(nonempty, per_col)
+    s.data[own] = 1.0
 
 
-def _prepare_metric(h: sp.csr_matrix, metric: str) -> sp.csr_matrix | None:
-    """Rows _metric_columns reads for the metric: unit rows for cosine,
-    variance-scaled rows for seuclidean, none for the other metrics."""
+def _prepare_metric(h: sp.csr_matrix, metric: str
+                    ) -> tuple[sp.csr_matrix, sp.csr_matrix] | None:
+    """Rows _metric_columns multiplies for the metric, with their transpose
+    converted to CSR once: unit rows for cosine, 0/1 rows for jaccard, the
+    hash rows for euclidean, variance-scaled rows for seuclidean.  Canberra
+    has no product form and needs nothing (None)."""
+    if metric == "canberra":
+        return None
     if metric == "cosine":
-        return _l2_normalized_rows(h)
-    if metric == "seuclidean":
-        return (h @ sp.diags(1.0 / np.asarray(compute_variances(h)))).tocsr()
-    return None
+        rows = _l2_normalized_rows(h)
+    elif metric == "jaccard":
+        rows = h.copy()
+        rows.data = np.ones_like(rows.data)
+    elif metric == "seuclidean":
+        rows = (h @ sp.diags(1.0 / np.asarray(compute_variances(h)))).tocsr()
+    else:
+        rows = h
+    return rows, rows.T.tocsr()
 
 
 def _config_snapshot(cfg: EmbeddingConfig) -> dict:
@@ -243,7 +257,7 @@ def _embed(g: Graph, cfg: EmbeddingConfig, workers: int,
     # never holds the chunks and their stacked copy at once
     limit, step = (g.num_nodes, _COLUMN_CHUNK) if sdf else (cfg.d, cfg.d)
     budget = g.num_nodes * cfg.budget_dim   # spent only in sdf mode
-    kept: list[sp.csr_matrix] = []
+    kept: list[sp.csc_matrix] = []
     used = 0
     while used < limit and budget >= 0:
         cols = _metric_columns(h, order[used:used + step], cfg.metric, prepared)
@@ -252,13 +266,19 @@ def _embed(g: Graph, cfg: EmbeddingConfig, workers: int,
             cols.eliminate_zeros()
         if sdf:
             # column j enters while the budget left before it is >= 0
-            spent = np.cumsum(cols.getnnz(axis=0))
+            spent = np.cumsum(np.diff(cols.indptr))
             take = 1 + int(np.searchsorted(spent[:-1], budget, side="right"))
             cols = cols[:, :take]
             budget -= int(spent[take - 1])
         kept.append(cols)
         used += cols.shape[1]
-    m = sp.hstack(kept, format="csr") if len(kept) > 1 else kept[0]
+    # free the prepared rows, and the chunks once stacked, so at most two
+    # copies of the values are held at once; the one conversion to CSR also
+    # sorts every row's indices
+    del prepared, cols
+    m = sp.hstack(kept, format="csc") if len(kept) > 1 else kept[0]
+    kept.clear()
+    m = m.tocsr()
     if timings is not None:
         timings["similarity"] = time.perf_counter() - t0
     return Embedding(matrix=m, ind=np.asarray(order[:used], dtype=np.int64),
@@ -299,6 +319,10 @@ def embed_sdf(g: Graph, cfg: EmbeddingConfig | None = None, *,
 def save_embedding(e: Embedding, out_dir) -> None:
     """Write the embedding triple: matrix + feature map + config snapshot.
 
+    Values are written as the shortest decimal text that reads back to the
+    same float64 (``mmwrite(..., precision=None)``), so load_embedding
+    returns the matrix bit for bit.
+
     Raises ValueError, before writing anything, when ``e.ind`` does not name
     one pivot node per column: load_embedding would reject such a triple.
     """
@@ -308,7 +332,7 @@ def save_embedding(e: Embedding, out_dir) -> None:
                          f"can be saved")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    mmwrite(out / MATRIX_FILE, e.matrix.tocoo(), precision=17)
+    mmwrite(out / MATRIX_FILE, e.matrix.tocoo(), precision=None)
     with open(out / FEATURE_MAP_FILE, "w", encoding="utf-8") as fh:
         for j, node in enumerate(e.ind):
             fh.write(f"{j}\t{int(node)}\n")

@@ -100,6 +100,8 @@ def from_arcs(num_nodes, src, dst, weights=None, directed=True) -> Graph:
 # files as plain ones without keeping backtracking state.
 _CANONICAL_EDGES = re.compile(rb"(?:[0-9]++\t[0-9]++\n)*+")
 
+_MAX_NODE_ID = np.iinfo(np.int64).max  # node ids are stored as int64
+
 
 def load_edge_list(path, directed: bool = False) -> Graph:
     """Load a tab-separated edge list: ``src<TAB>dst[<TAB>weight]`` per line.
@@ -145,6 +147,9 @@ def load_edge_list(path, directed: bool = False) -> Graph:
                     f"{path}:{lineno}: node ids must be integers, got {raw!r}") from None
             if u < 0 or v < 0:
                 raise GraphFormatError(f"{path}:{lineno}: negative node id")
+            if max(u, v) > _MAX_NODE_ID:
+                raise GraphFormatError(
+                    f"{path}:{lineno}: node id {max(u, v)} exceeds {_MAX_NODE_ID}")
             w = 1.0
             if len(parts) == 3:
                 try:

@@ -100,11 +100,16 @@ def walk_lengths(cfg: WalkConfig) -> np.ndarray:
     return _lengths_from_uniforms(cfg.length_probs, rng.random(cfg.num_walks))
 
 
-def _weight_cumsum(g: Graph) -> np.ndarray | None:
+def _weight_cumsum(g: Graph) -> np.ndarray:
     """Running arc-weight sums with a leading 0: the out-arcs of node c hold
-    weight ``wcum[offsets[c + 1]] - wcum[offsets[c]]``."""
+    weight ``wcum[offsets[c + 1]] - wcum[offsets[c]]``.
+
+    Raises ValueError for a graph without arc weights, since weighted walks
+    have nothing to be proportional to.
+    """
     if g.weights is None:
-        return None
+        raise ValueError("weighted walks need arc weights, but the graph has "
+                         "none (an edge list gives them as a third column)")
     return np.concatenate([[0.0], np.cumsum(g.weights, dtype=np.float64)])
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import symbed
-from symbed.embedding import EmbeddingConfig, _l2_normalized_rows, _metric_columns
+from symbed.embedding import EmbeddingConfig, _metric_columns, _prepare_metric
 from symbed.evaluation import (LogRegParams, ProtocolConfig, logreg_loss_grad,
                                micro_macro_f1, random_embedding, run_protocol,
                                run_protocol_lp, topk_sets)
@@ -225,25 +225,29 @@ class TestStructuralInvariants:
 
 class TestScaling:
     @staticmethod
-    def _median_time(fn, reps=3):
-        times = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        return sorted(times)[len(times) // 2]
+    def _ratio(fn, small, large, reps=5):
+        """Median CPU time of fn(large) over that of fn(small).
+
+        CPU time leaves out the waits a shared machine adds to wall time; a
+        warm-up call of each size and alternating the sizes keep first-call
+        costs and drift out of the ratio.
+        """
+        times = {small: [], large: []}
+        for rep in range(reps + 1):
+            for size in (small, large):
+                t0 = time.process_time()
+                fn(size)
+                if rep:
+                    times[size].append(time.process_time() - t0)
+        t1, t2 = np.median(times[small]), np.median(times[large])
+        return t2 / t1, t1, t2
 
     def test_walk_stage_scales_linearly_in_num_walks(self):
         with criterion("scaling-walks-linear-in-nw"):
             g = random_graph(10_000, 5, seed=42)
-
-            def run(nw):
-                return self._median_time(
-                    lambda: hash_all(g, WalkConfig(num_walks=nw, epsilon=0.005,
-                                                   seed=1)))
-
-            t1, t2 = run(128), run(256)
-            ratio = t2 / t1
+            ratio, t1, t2 = self._ratio(
+                lambda nw: hash_all(g, WalkConfig(num_walks=nw, epsilon=0.005,
+                                                  seed=1)), 256, 512)
             print(f"walk+hash ratio {ratio:.2f} ({t1:.2f}s -> {t2:.2f}s)")
             assert 1.6 <= ratio <= 2.6
 
@@ -251,17 +255,11 @@ class TestScaling:
         with criterion("scaling-similarity-linear-in-d"):
             g = random_graph(10_000, 5, seed=42)
             H = hash_all(g, WalkConfig(num_walks=256, epsilon=0.005, seed=1))
-            hn = _l2_normalized_rows(H)
+            prepared = _prepare_metric(H, "cosine")
             order = rank_nodes(pagerank(g)).order
-
-            def run(d):
-                pivots = order[:d]
-                return self._median_time(
-                    lambda: [_metric_columns(H, pivots, "cosine", hn=hn)
-                             for _ in range(5)], reps=5)
-
-            t1, t2 = run(1024), run(2048)
-            ratio = t2 / t1
+            ratio, t1, t2 = self._ratio(
+                lambda d: [_metric_columns(H, order[:d], "cosine", prepared)
+                           for _ in range(20)], 1024, 2048)
             print(f"similarity ratio {ratio:.2f} ({t1:.3f}s -> {t2:.3f}s)")
             assert 1.6 <= ratio <= 2.6
 

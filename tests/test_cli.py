@@ -82,6 +82,17 @@ class TestEmbed:
         assert run(["embed", "--edges", tmp_path / "absent.tsv", "--out", out]) == 2
         assert not out.exists()
 
+    def test_weighted_on_unweighted_edges_is_usage_error(self, dataset, tmp_path,
+                                                          capsys):
+        edges, _ = dataset
+        out = tmp_path / "never"
+        assert run(["embed", "--edges", edges, "--out", out,
+                    "--num-walks", 8, "--dim", 4, "--weighted"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("symbed embed: ") and "arc weights" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_byte_identical_across_runs_and_workers(self, dataset, tmp_path):
         edges, _ = dataset
         blobs = []

@@ -1,8 +1,11 @@
 import json
+import tempfile
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbed.embedding import (Embedding, EmbeddingConfig, EmbeddingFormatError,
                               digitize, embed_fixed, embed_sdf, load_embedding,
@@ -155,6 +158,14 @@ class TestSdfMode:
         fixed = embed_fixed(g, small_cfg(d=k, bins=0, metric=metric))
         sdf = embed_sdf(g, small_cfg("sdf", budget_dim=300, bins=0, metric=metric))
         assert sdf.num_columns == g.num_nodes
+        for emb in (fixed, sdf):
+            # canonical CSR: rows strictly increasing in column, no stored zeros
+            m = emb.matrix
+            assert isinstance(m, sp.csr_matrix)
+            starts = np.zeros(m.nnz, dtype=bool)
+            starts[m.indptr[:-1][np.diff(m.indptr) > 0]] = True
+            assert np.all((np.diff(m.indices) > 0) | starts[1:])
+            assert np.all(m.data != 0)
         head = sdf.matrix[:, :k]
         np.testing.assert_array_equal(fixed.matrix.indptr, head.indptr)
         np.testing.assert_array_equal(fixed.matrix.indices, head.indices)
@@ -250,6 +261,26 @@ class TestPersistence:
         assert back.ind.tolist() == emb.ind.tolist()
         assert back.config == emb.config
         assert back.value_bits == emb.value_bits
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(
+        st.one_of(st.floats(0.0, 1.0),
+                  st.sampled_from([5e-324, 2.0 ** -1074 * 3, 2.2250738585072009e-308,
+                                   1 / 3, 1 - 2.0 ** -53]),
+                  st.integers(0, 256).map(lambda k: k / 256)),
+        min_size=1, max_size=60))
+    def test_shortest_text_round_trips_exactly(self, values):
+        # one value per row, spread over three columns
+        rows = np.arange(len(values))
+        m = sp.csr_matrix((np.array(values), (rows, rows % 3)), shape=(len(values), 3))
+        emb = Embedding(matrix=m, ind=np.arange(3), config={})
+        with tempfile.TemporaryDirectory() as tmp:
+            save_embedding(emb, tmp)
+            back = load_embedding(tmp).matrix
+        np.testing.assert_array_equal(back.indptr, m.indptr)
+        np.testing.assert_array_equal(back.indices, m.indices)
+        assert back.data.dtype == np.float64
+        assert back.data.tobytes() == m.data.tobytes()
 
     def test_round_trip_digitized(self, tmp_path):
         g = random_graph(35, 4, seed=6)

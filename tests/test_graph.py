@@ -39,6 +39,14 @@ class TestLoadEdgeList:
         with pytest.raises(GraphFormatError, match=":2"):
             load_edge_list(_write(tmp_path, "0\t1\n0 1\n"))
 
+    @pytest.mark.parametrize("text", [
+        "0\t1\n1\t99999999999999999999\n",    # canonical: the fast path falls back
+        "# c\n99999999999999999999\t1\t0.5\n",  # line parser only
+    ])
+    def test_id_beyond_int64_reports_line(self, tmp_path, text):
+        with pytest.raises(GraphFormatError, match=r"edges\.tsv:2: node id .* exceeds"):
+            load_edge_list(_write(tmp_path, text))
+
     def test_negative_weight(self, tmp_path):
         with pytest.raises(GraphFormatError, match="negative weight"):
             load_edge_list(_write(tmp_path, "0\t1\t-2.0\n"))

@@ -156,6 +156,13 @@ class TestHashAll:
             assert np.array_equal(ref.indices, got.indices), f"node {i}"
             assert np.array_equal(ref.values, got.values), f"node {i}"
 
+    def test_weighted_walks_need_weights(self, two_cycle):
+        cfg = WalkConfig(num_walks=4, seed=1, weighted=True)
+        with pytest.raises(ValueError, match="arc weights"):
+            hash_all(two_cycle, cfg)
+        with pytest.raises(ValueError, match="arc weights"):
+            hash_node(two_cycle, 0, cfg)
+
     def test_two_cycle_support(self, two_cycle):
         H = hash_all(two_cycle, WalkConfig(num_walks=16, seed=1))
         assert H.shape == (2, 2)
