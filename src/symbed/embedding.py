@@ -145,13 +145,12 @@ def _metric_columns(h: sp.csr_matrix, pivots: np.ndarray, metric: str,
     features in one order, so each score sums the same products in the same
     order as ``rows @ rows[pivots].T`` would: the values are the same bits.
     """
-    n = h.shape[0]
     if metric == "canberra":
         # no product decomposition; chunked dense evaluation
         pdense = np.asarray(h[pivots].todense())
         out = []
         step = max(1, 2_000_000 // max(h.shape[1], 1))
-        for lo in range(0, n, step):
+        for lo in range(0, h.shape[0], step):
             block = np.asarray(h[lo:lo + step].todense())
             out.append(cdist(block, pdense, metric="canberra"))
         return sp.csc_matrix(np.vstack(out))
