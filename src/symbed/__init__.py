@@ -10,17 +10,15 @@ X", which keeps downstream models explainable.
 from .graph import (DatasetStats, Graph, GraphFormatError, LabelError,
                     LabelTable, connected_components, dataset_stats,
                     from_arcs, load_edge_list, load_labels, write_edge_list)
-from .walks import (HashVector, WalkConfig, dump_hashes, hash_all, hash_node,
-                    hash_row, random_walk, sample_walk_length, walk_lengths)
+from .walks import WalkConfig, dump_hashes, hash_all, walk_lengths
 from .ranking import ConvergenceWarning, PageRankConfig, Ranking, pagerank, rank_nodes
-from .similarity import METRICS, compute_variances, similarity
-from .embedding import (Embedding, EmbeddingConfig, EmbeddingFormatError,
-                        digitize, embed_fixed, embed_sdf, load_embedding,
-                        save_embedding)
+from .embedding import (METRICS, Embedding, EmbeddingConfig,
+                        EmbeddingFormatError, compute_variances, embed_fixed,
+                        embed_sdf, load_embedding, save_embedding)
 from .evaluation import (EvalReport, LogRegParams, ProtocolConfig,
                          ProtocolError, label_propagation, logreg_loss_grad,
-                         micro_macro_f1, predict_topk, random_embedding,
-                         run_protocol, run_protocol_lp, topk_sets, train_logreg)
+                         micro_macro_f1, random_embedding, run_protocol,
+                         run_protocol_lp, topk_sets, train_logreg)
 from .synth import planted_partition, random_graph
 
 __version__ = "0.1.0"
@@ -29,14 +27,13 @@ __all__ = [
     "DatasetStats", "Graph", "GraphFormatError", "LabelError", "LabelTable",
     "connected_components", "dataset_stats", "from_arcs", "load_edge_list",
     "load_labels", "write_edge_list",
-    "HashVector", "WalkConfig", "dump_hashes", "hash_all", "hash_node",
-    "hash_row", "random_walk", "sample_walk_length", "walk_lengths",
+    "WalkConfig", "dump_hashes", "hash_all", "walk_lengths",
     "ConvergenceWarning", "PageRankConfig", "Ranking", "pagerank", "rank_nodes",
-    "METRICS", "compute_variances", "similarity",
-    "Embedding", "EmbeddingConfig", "EmbeddingFormatError", "digitize",
-    "embed_fixed", "embed_sdf", "load_embedding", "save_embedding",
+    "METRICS", "Embedding", "EmbeddingConfig", "EmbeddingFormatError",
+    "compute_variances", "embed_fixed", "embed_sdf", "load_embedding",
+    "save_embedding",
     "EvalReport", "LogRegParams", "ProtocolConfig", "ProtocolError",
-    "label_propagation", "logreg_loss_grad", "micro_macro_f1", "predict_topk",
+    "label_propagation", "logreg_loss_grad", "micro_macro_f1",
     "random_embedding", "run_protocol", "run_protocol_lp", "topk_sets",
     "train_logreg",
     "planted_partition", "random_graph",

@@ -34,7 +34,6 @@ from scipy.spatial.distance import cdist
 
 from .graph import Graph
 from .ranking import PageRankConfig, pagerank, rank_nodes
-from .similarity import METRICS, compute_variances
 from .walks import WalkConfig, hash_all
 
 FORMAT_VERSION = 1
@@ -44,6 +43,15 @@ FEATURE_MAP_FILE = "feature_map.tsv"
 CONFIG_FILE = "config.json"
 
 _COLUMN_CHUNK = 128  # pivot columns per sdf pass of the column path
+
+# Cosine and jaccard are similarities in [0, 1]; euclidean, seuclidean and
+# canberra are distances >= 0 over the union of two hashes' supports, with
+# absent coordinates counted as 0.
+METRICS = ("cosine", "euclidean", "seuclidean", "canberra", "jaccard")
+
+# Floor of the per-dimension variances seuclidean divides by: a dimension
+# that no node or every node visits equally has variance 0.
+VARIANCE_FLOOR = 1e-12
 
 
 class EmbeddingFormatError(ValueError):
@@ -107,21 +115,24 @@ class Embedding:
         return self.nnz * self.value_bits // 8
 
 
-def digitize(s: float, b: int) -> float:
-    """Quantize a score in [0, 1] to the nearest multiple of 1/b.
-
-    Ties round half away from zero, so 0 and 1 are preserved.
-    """
-    if b < 2:
-        raise ValueError("bins must be >= 2")
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"score {s} outside [0, 1]")
-    return float(np.floor(s * b + 0.5) / b)
-
-
 def _quantize_array(values: np.ndarray, b: int) -> np.ndarray:
-    """Vector form of digitize; tolerates values above 1 (distance metrics)."""
+    """Round scores to the nearest multiple of 1/b, ties half away from zero,
+    so 0 and 1 are kept; values above 1 (distance metrics) round alike."""
     return np.floor(values * b + 0.5) / b
+
+
+def compute_variances(hashes: sp.csr_matrix) -> np.ndarray:
+    """Population variance of every hash dimension across all nodes.
+
+    Absent coordinates count as zeros.  Variances are floored to
+    VARIANCE_FLOOR to keep the standardized Euclidean denominator positive.
+    """
+    if hashes.shape[0] < 2:
+        raise ValueError("need at least 2 hash vectors")
+    mean = np.asarray(hashes.mean(axis=0)).ravel()
+    mean_sq = np.asarray(hashes.multiply(hashes).mean(axis=0)).ravel()
+    var = np.maximum(mean_sq - mean ** 2, 0.0)
+    return np.maximum(var, VARIANCE_FLOOR)
 
 
 def _l2_normalized_rows(h: sp.csr_matrix) -> sp.csr_matrix:

@@ -99,14 +99,6 @@ def train_logreg(X, Y: np.ndarray, params: LogRegParams | None = None) -> LogReg
     return LogRegModel(W, b, k, empty, history)
 
 
-def predict_topk(model: LogRegModel, x, k: int) -> frozenset[int]:
-    """The k most probable classes for one row; ties break by class id."""
-    if not 1 <= k <= model.num_classes:
-        raise ValueError(f"k={k} outside [1, {model.num_classes}]")
-    p = model.predict_proba(x.reshape(1, -1) if isinstance(x, np.ndarray) else x)
-    return topk_sets(np.atleast_2d(p), np.array([k]))[0]
-
-
 def topk_sets(P: np.ndarray, ks: np.ndarray) -> list[frozenset[int]]:
     """Row-wise top-k_i class sets with ascending-id tie-breaks."""
     order = np.argsort(-P, axis=1, kind="stable")

@@ -6,6 +6,12 @@ stateful generator is out.  Instead each node gets its own stream keyed by
 a 64-bit avalanche mix of the global seed and the node id, and the k-th
 draw of a stream is a pure function of (stream key, k).  Any batching or
 thread count then reproduces identical walks.
+
+The streams hold no state: ``stream_key`` gives each node's key,
+``uniform_at`` the k-th draw of a key and ``skip_ahead`` the key of the
+stream that starts k draws later, all vectorized over arrays of keys, so
+``hash_all`` steps a whole block of walks at once.  The per-node reference
+hasher in ``tests/oracles.py`` reads the same draws one at a time.
 """
 
 from __future__ import annotations
@@ -18,16 +24,12 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53_INV = float(2.0**-53)
 
 
-def mix64(x):
-    """SplitMix64 finalizer: avalanche a uint64 value or array.
+def _mix64_inplace(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer: avalanche the uint64 array x in place, with one
+    scratch array.
 
     uint64 arithmetic wraps modulo 2**64 by design.
     """
-    return _mix64_inplace(np.array(x, dtype=np.uint64))[()]
-
-
-def _mix64_inplace(x: np.ndarray) -> np.ndarray:
-    """mix64 overwriting the uint64 array x, with one scratch array."""
     shifted = np.empty_like(x)
     with np.errstate(over="ignore"):
         for shift, mult in ((30, _MIX1), (27, _MIX2)):
@@ -41,7 +43,8 @@ def stream_key(seed: int, node) -> np.ndarray:
     """64-bit stream key for each node id under a global seed."""
     node = np.asarray(node, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN * (node + np.uint64(1)))
+        key = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN * (node + np.uint64(1))
+    return _mix64_inplace(np.asarray(key))
 
 
 def skip_ahead(key, index):
@@ -67,22 +70,3 @@ def uniform_at(key, index):
     bits >>= np.uint64(11)
     return bits * _U53_INV
 
-
-class CounterStream:
-    """Sequential view over one node's counter-based stream.
-
-    `jump(pos)` repositions the cursor; draws at a position are identical
-    regardless of how many draws were taken before it.
-    """
-
-    def __init__(self, seed: int, node: int, pos: int = 0):
-        self._key = stream_key(seed, node)
-        self.pos = pos
-
-    def jump(self, pos: int) -> None:
-        self.pos = pos
-
-    def uniform(self) -> float:
-        u = float(uniform_at(self._key, self.pos))
-        self.pos += 1
-        return u

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import Graph
-from .rng import CounterStream, skip_ahead, stream_key, uniform_at
+from .rng import skip_ahead, stream_key, uniform_at
 
 
 def _uniform_lengths(max_len: int = 5) -> np.ndarray:
@@ -62,42 +62,11 @@ class WalkConfig:
         return float(np.dot(self.length_probs, np.arange(1, self.max_len + 1)))
 
 
-@dataclass
-class HashVector:
-    """Sparse visit-frequency vector: strictly increasing indices, values > 0
-    summing to 1."""
-
-    indices: np.ndarray
-    values: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
-
-    def to_dense(self, n: int) -> np.ndarray:
-        out = np.zeros(n)
-        out[self.indices] = self.values
-        return out
-
-    def to_dict(self) -> dict[int, float]:
-        return {int(i): float(v) for i, v in zip(self.indices, self.values)}
-
-
-def sample_walk_length(cfg: WalkConfig, rng: np.random.Generator) -> int:
-    """Draw one walk length in 1..max_len from the length distribution."""
-    return _lengths_from_uniforms(cfg.length_probs, rng.random(1))[0]
-
-
-def _lengths_from_uniforms(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(probs)
-    idx = np.searchsorted(cum, u, side="right")
-    return np.minimum(idx, len(probs) - 1).astype(np.int64) + 1
-
-
 def walk_lengths(cfg: WalkConfig) -> np.ndarray:
     """The shared per-walk length array: sampled once, reused by every node."""
-    rng = np.random.default_rng(cfg.seed)
-    return _lengths_from_uniforms(cfg.length_probs, rng.random(cfg.num_walks))
+    u = np.random.default_rng(cfg.seed).random(cfg.num_walks)
+    idx = np.searchsorted(np.cumsum(cfg.length_probs), u, side="right")
+    return np.minimum(idx, cfg.max_len - 1).astype(np.int64) + 1
 
 
 def _weight_cumsum(g: Graph) -> np.ndarray:
@@ -111,65 +80,6 @@ def _weight_cumsum(g: Graph) -> np.ndarray:
         raise ValueError("weighted walks need arc weights, but the graph has "
                          "none (an edge list gives them as a third column)")
     return np.concatenate([[0.0], np.cumsum(g.weights, dtype=np.float64)])
-
-
-def random_walk(g: Graph, start: int, wl: int, rng: CounterStream,
-                weighted: bool = False, _wcum: np.ndarray | None = None):
-    """One walk of length wl from start; returns {node: visit count}.
-
-    The start node is always counted; a node with no out-arcs ends the walk
-    early.  Neighbor choice is uniform over out-arcs, or proportional to arc
-    weight in weighted mode.
-    """
-    if not 0 <= start < g.num_nodes:
-        raise IndexError(f"start node {start} out of range")
-    if weighted and _wcum is None:
-        _wcum = _weight_cumsum(g)
-    counts: dict[int, int] = {}
-    c = start
-    for t in range(wl + 1):
-        counts[c] = counts.get(c, 0) + 1
-        if t == wl:
-            break
-        lo, hi = int(g.offsets[c]), int(g.offsets[c + 1])
-        deg = hi - lo
-        if deg == 0:
-            break
-        u = rng.uniform()
-        if weighted:
-            base = _wcum[lo]
-            total = _wcum[hi] - base
-            if total <= 0.0:
-                break
-            k = int(np.searchsorted(_wcum, base + u * total, side="right")) - 1
-            c = int(g.targets[min(k, hi - 1)])
-        else:
-            c = int(g.targets[lo + min(int(u * deg), deg - 1)])
-    return counts
-
-
-def hash_node(g: Graph, n: int, cfg: WalkConfig) -> HashVector:
-    """Hash one node by running its walks sequentially (reference path)."""
-    lengths = walk_lengths(cfg)
-    stream = CounterStream(cfg.seed, n)
-    wcum = _weight_cumsum(g) if cfg.weighted else None
-    counts: dict[int, int] = {}
-    s = cfg.max_len
-    for j, wl in enumerate(lengths):
-        stream.jump(j * s)
-        for node, c in random_walk(g, n, int(wl), stream, cfg.weighted, wcum).items():
-            counts[node] = counts.get(node, 0) + c
-    total = sum(counts.values())
-    thresh = total * cfg.epsilon
-    kept = {i: c for i, c in counts.items() if not c < thresh}
-    if not kept:
-        # epsilon above the max frequency: keep the most-visited node
-        best_count = max(counts.values())
-        best = min(i for i, c in counts.items() if c == best_count)
-        kept = {best: best_count}
-    idx = np.array(sorted(kept), dtype=np.int64)
-    cnt = np.array([kept[i] for i in idx], dtype=np.int64)
-    return HashVector(indices=idx, values=cnt / cnt.sum())
 
 
 def _hash_block(g: Graph, nodes: np.ndarray, lengths: np.ndarray,
@@ -263,7 +173,10 @@ def _hash_block(g: Graph, nodes: np.ndarray, lengths: np.ndarray,
 
 
 def hash_all(g: Graph, cfg: WalkConfig, workers: int = 1) -> sp.csr_matrix:
-    """Hash every node; row i equals hash_node(g, i, cfg) exactly.
+    """Hash every node into one CSR row of pruned visit frequencies each.
+
+    Row i equals the per-node reference ``hash_node(g, i, cfg)`` in
+    ``tests/oracles.py`` exactly, which steps node i's walks one at a time.
 
     Work is split into node blocks whose walk buffers stay small; blocks may
     run on several threads, and the result is identical for any worker count.
@@ -287,17 +200,12 @@ def hash_all(g: Graph, cfg: WalkConfig, workers: int = 1) -> sp.csr_matrix:
     return out
 
 
-def hash_row(hashes: sp.csr_matrix, i: int) -> HashVector:
-    """Extract row i of a hash matrix as a HashVector."""
-    lo, hi = hashes.indptr[i], hashes.indptr[i + 1]
-    return HashVector(indices=hashes.indices[lo:hi].astype(np.int64),
-                      values=hashes.data[lo:hi])
-
-
 def dump_hashes(hashes: sp.csr_matrix, path) -> None:
     """Debug dump: one line per node, ``node<TAB>idx:val,idx:val,...``."""
+    indptr, indices, data = hashes.indptr, hashes.indices, hashes.data
     with open(path, "w", encoding="utf-8") as fh:
         for i in range(hashes.shape[0]):
-            h = hash_row(hashes, i)
-            pairs = ",".join(f"{int(j)}:{v:.6f}" for j, v in zip(h.indices, h.values))
+            lo, hi = indptr[i], indptr[i + 1]
+            pairs = ",".join(f"{j}:{v:.6f}" for j, v in
+                             zip(indices[lo:hi].tolist(), data[lo:hi].tolist()))
             fh.write(f"{i}\t{pairs}\n")

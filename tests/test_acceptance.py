@@ -20,11 +20,11 @@ from symbed.evaluation import (LogRegParams, ProtocolConfig, logreg_loss_grad,
                                run_protocol_lp, topk_sets)
 from symbed.graph import load_edge_list, load_labels
 from symbed.ranking import PageRankConfig, pagerank, rank_nodes
-from symbed.similarity import similarity
 from symbed.synth import planted_partition, random_graph
-from symbed.walks import WalkConfig, hash_all, hash_row
+from symbed.walks import WalkConfig, hash_all
 
 from conftest import require_dataset
+from oracles import similarity
 from test_evaluation import f1_confusion_oracle, finite_difference_grad, label_table
 from test_ranking import dense_pagerank, random_small_graph
 from test_similarity import dense_metric, random_pair

@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symbed.embedding import (Embedding, EmbeddingConfig, EmbeddingFormatError,
-                              digitize, embed_fixed, embed_sdf, load_embedding,
-                              save_embedding)
+                              _quantize_array, compute_variances, embed_fixed,
+                              embed_sdf, load_embedding, save_embedding)
 from symbed.evaluation import random_embedding
 from symbed.graph import from_arcs
 from symbed.ranking import PageRankConfig
-from symbed.similarity import compute_variances, similarity
 from symbed.synth import planted_partition, random_graph
-from symbed.walks import WalkConfig, hash_all, hash_row
+from symbed.walks import WalkConfig, hash_all
+
+from oracles import digitize, hash_row, similarity
 
 
 def small_cfg(mode="fixed", **kw):
@@ -29,36 +30,50 @@ def complete_graph(n):
     return from_arcs(n, src, dst, directed=True)
 
 
-class TestDigitize:
+class QuantizerCases:
+    """Quantization cases for any scalar quantizer ``quantize(s, b)``."""
+
     def test_endpoints_preserved(self):
         for b in (2, 4, 16, 256):
-            assert digitize(0.0, b) == 0.0
-            assert digitize(1.0, b) == 1.0
+            assert self.quantize(0.0, b) == 0.0
+            assert self.quantize(1.0, b) == 1.0
 
     def test_rounds_to_nearest_bin(self):
-        assert digitize(0.6, 4) == 0.5
+        assert self.quantize(0.6, 4) == 0.5
 
     def test_half_rounds_away_from_zero(self):
-        assert digitize(0.125, 4) == 0.25
-        assert digitize(0.375, 4) == 0.5
+        assert self.quantize(0.125, 4) == 0.25
+        assert self.quantize(0.375, 4) == 0.5
 
     def test_output_is_multiple_of_inverse_bins(self):
         rng = np.random.default_rng(0)
         for s in rng.random(200):
-            q = digitize(float(s), 256)
+            q = self.quantize(float(s), 256)
             assert q == round(q * 256) / 256
 
     def test_bins_256_exact_in_float16(self):
         rng = np.random.default_rng(1)
         for s in rng.random(200):
-            q = digitize(float(s), 256)
+            q = self.quantize(float(s), 256)
             assert float(np.float16(q)) == q
+
+
+class TestDigitize(QuantizerCases):
+    """The scalar reference quantizer."""
+
+    quantize = staticmethod(digitize)
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
             digitize(1.5, 4)
         with pytest.raises(ValueError):
             digitize(0.5, 1)
+
+
+class TestQuantizeArray(QuantizerCases):
+    """The quantizer the column path runs, applied elementwise."""
+
+    quantize = staticmethod(lambda s, b: float(_quantize_array(np.array([s]), b)[0]))
 
 
 class TestFixedMode:

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from symbed.evaluation import (EvalReport, LogRegModel, LogRegParams,
                                ProtocolConfig, ProtocolError, label_propagation,
-                               logreg_loss_grad, micro_macro_f1, predict_topk,
+                               logreg_loss_grad, micro_macro_f1,
                                random_embedding, run_protocol, run_protocol_lp,
                                topk_sets, train_logreg)
 from symbed.graph import LabelTable, from_arcs
@@ -160,31 +160,14 @@ class TestTrainLogreg:
 
 
 class TestPredictTopk:
-    def _model(self, probs):
-        class Stub:
-            num_classes = len(probs)
-
-            def predict_proba(self, X):
-                return np.tile(np.asarray(probs), (np.atleast_2d(X).shape[0], 1))
-        return Stub()
-
-    def test_top_one(self):
-        assert predict_topk(self._model([0.1, 0.7, 0.2]), np.zeros(3), 1) == {1}
-
-    def test_k_equals_num_classes(self):
-        assert predict_topk(self._model([0.1, 0.7, 0.2]), np.zeros(3), 3) == {0, 1, 2}
-
-    def test_tie_breaks_by_class_id(self):
-        assert predict_topk(self._model([0.4, 0.4, 0.2]), np.zeros(3), 1) == {0}
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            predict_topk(self._model([0.4, 0.6]), np.zeros(2), 3)
-
     def test_topk_sets_rows(self):
-        P = np.array([[0.2, 0.5, 0.3], [0.9, 0.05, 0.05]])
-        got = topk_sets(P, np.array([2, 1]))
-        assert got == [frozenset({1, 2}), frozenset({0})]
+        # after the first two rows: the top one, every class (k equal to
+        # the class count), and a tie broken by the lower class id
+        P = np.array([[0.2, 0.5, 0.3], [0.9, 0.05, 0.05], [0.1, 0.7, 0.2],
+                      [0.1, 0.7, 0.2], [0.4, 0.4, 0.2]])
+        got = topk_sets(P, np.array([2, 1, 1, 3, 1]))
+        assert got == [frozenset({1, 2}), frozenset({0}), frozenset({1}),
+                       frozenset({0, 1, 2}), frozenset({0})]
 
 
 class TestMicroMacroF1:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from symbed.similarity import VARIANCE_FLOOR, compute_variances, similarity
-from symbed.walks import HashVector
+from symbed.embedding import VARIANCE_FLOOR, compute_variances
+
+from oracles import HashVector, similarity
 
 
 def hv(d):

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symbed.graph import from_arcs
-from symbed.rng import CounterStream
 from symbed.synth import random_graph
-from symbed.walks import (HashVector, WalkConfig, _hash_block, _weight_cumsum,
-                          dump_hashes, hash_all, hash_node, hash_row,
-                          random_walk, sample_walk_length, walk_lengths)
+from symbed.walks import (WalkConfig, _hash_block, _weight_cumsum, dump_hashes,
+                          hash_all, walk_lengths)
+
+from oracles import CounterStream, hash_node, hash_row, random_walk
 
 
 def point_mass(length, max_len=None):
@@ -44,22 +44,20 @@ class TestWalkConfig:
 
 
 class TestSampleWalkLength:
+    """The shared walk-length array that hash_all (and hash_node) walk by."""
+
     def test_point_mass_on_five(self):
-        cfg = WalkConfig(length_probs=point_mass(5))
-        rng = np.random.default_rng(0)
-        assert all(sample_walk_length(cfg, rng) == 5 for _ in range(50))
+        cfg = WalkConfig(length_probs=point_mass(5), num_walks=50)
+        assert np.all(walk_lengths(cfg) == 5)
 
     def test_single_length(self):
-        cfg = WalkConfig(length_probs=np.array([1.0]))
-        rng = np.random.default_rng(0)
-        assert all(sample_walk_length(cfg, rng) == 1 for _ in range(50))
+        cfg = WalkConfig(length_probs=np.array([1.0]), num_walks=50)
+        assert np.all(walk_lengths(cfg) == 1)
 
     def test_uniform_empirical_frequencies(self):
         # multinomial: each count ~ Binomial(n, 0.2), sigma = sqrt(n p (1-p))
-        cfg = WalkConfig()
-        rng = np.random.default_rng(42)
         n = 100_000
-        draws = np.array([sample_walk_length(cfg, rng) for _ in range(n)])
+        draws = walk_lengths(WalkConfig(num_walks=n, seed=42))
         sigma = np.sqrt(n * 0.2 * 0.8)
         for length in range(1, 6):
             assert abs((draws == length).sum() - n * 0.2) < 3 * sigma
@@ -96,18 +94,23 @@ class TestRandomWalk:
 
 
 class TestHashNode:
+    """Hand-computed hashes on the per-node reference; TestHashAllRows runs
+    the same cases on the library's block path."""
+
+    hash_of = staticmethod(hash_node)
+
     def test_threshold_strict_less(self):
         # 2-cycle, one walk of length 4 -> visits 0,1,0,1,0 -> counts {0:3, 1:2}
         g = from_arcs(2, [0, 1], [1, 0], directed=True)
         cfg = WalkConfig(length_probs=point_mass(4), num_walks=1, epsilon=0.4, seed=1)
-        h = hash_node(g, 0, cfg)
+        h = self.hash_of(g, 0, cfg)
         # threshold 5 * 0.4 = 2.0: count 2 is NOT dropped (strictly-less rule)
         assert h.to_dict() == {0: 0.6, 1: 0.4}
 
     def test_threshold_drops_minority(self):
         g = from_arcs(2, [0, 1], [1, 0], directed=True)
         cfg = WalkConfig(length_probs=point_mass(4), num_walks=1, epsilon=0.5, seed=1)
-        h = hash_node(g, 0, cfg)
+        h = self.hash_of(g, 0, cfg)
         # threshold 2.5 drops count 2, survivor renormalizes to 1
         assert h.to_dict() == {0: 1.0}
 
@@ -115,28 +118,35 @@ class TestHashNode:
         # deterministic chain: every node visited once, frequencies 1/5 < eps
         g = from_arcs(5, [0, 1, 2, 3], [1, 2, 3, 4], directed=True)
         cfg = WalkConfig(length_probs=point_mass(4), num_walks=1, epsilon=0.9, seed=0)
-        h = hash_node(g, 0, cfg)
+        h = self.hash_of(g, 0, cfg)
         assert h.to_dict() == {0: 1.0}  # tie broken by lowest node id
 
     def test_uniform_normalization_on_path(self):
         g = from_arcs(3, [0, 1], [1, 2], directed=True)
         cfg = WalkConfig(length_probs=point_mass(2), num_walks=8, epsilon=0.005, seed=3)
-        h = hash_node(g, 0, cfg)
+        h = self.hash_of(g, 0, cfg)
         assert h.indices.tolist() == [0, 1, 2]
         np.testing.assert_allclose(h.values, 1 / 3)
 
     def test_epsilon_zero_keeps_every_visited_node(self):
         g = random_graph(30, 5, seed=2)
         cfg = WalkConfig(num_walks=32, epsilon=0.0, seed=2)
-        h = hash_node(g, 0, cfg)
+        h = self.hash_of(g, 0, cfg)
         cfg_tiny = WalkConfig(num_walks=32, epsilon=1e-9, seed=2)
-        h2 = hash_node(g, 0, cfg_tiny)
+        h2 = self.hash_of(g, 0, cfg_tiny)
         assert np.array_equal(h.indices, h2.indices)
 
     def test_isolated_node_hashes_to_itself(self):
         g = from_arcs(4, [0], [1], directed=True)
-        h = hash_node(g, 3, WalkConfig(num_walks=16, seed=0))
+        h = self.hash_of(g, 3, WalkConfig(num_walks=16, seed=0))
         assert h.to_dict() == {3: 1.0}
+
+
+class TestHashAllRows(TestHashNode):
+    """The same cases on row i of hash_all, which pins _hash_block's segment
+    logic (threshold, fallback, renormalization) by hand-computed values."""
+
+    hash_of = staticmethod(lambda g, i, cfg: hash_row(hash_all(g, cfg), i))
 
 
 class TestHashAll:
@@ -336,3 +346,15 @@ class TestDump:
             idx, val = pair.split(":")
             int(idx)
             assert len(val.split(".")[1]) == 6
+
+    def test_dump_matches_per_row_text(self, tmp_path):
+        # the text the per-row HashVector formatting wrote, byte for byte
+        H = hash_all(random_graph(300, 4, seed=12), WalkConfig(num_walks=32, seed=4))
+        out = tmp_path / "hashes.tsv"
+        dump_hashes(H, out)
+        want = ""
+        for i in range(H.shape[0]):
+            h = hash_row(H, i)
+            pairs = ",".join(f"{int(j)}:{v:.6f}" for j, v in zip(h.indices, h.values))
+            want += f"{i}\t{pairs}\n"
+        assert out.read_bytes() == want.encode("utf-8")
