@@ -160,14 +160,19 @@ class TestTrainLogreg:
 
 
 class TestPredictTopk:
+    def test_top_one(self):
+        assert topk_sets(np.array([[0.1, 0.7, 0.2]]), np.array([1])) == [{1}]
+
+    def test_k_equals_num_classes(self):
+        assert topk_sets(np.array([[0.1, 0.7, 0.2]]), np.array([3])) == [{0, 1, 2}]
+
+    def test_tie_breaks_by_class_id(self):
+        assert topk_sets(np.array([[0.4, 0.4, 0.2]]), np.array([1])) == [{0}]
+
     def test_topk_sets_rows(self):
-        # after the first two rows: the top one, every class (k equal to
-        # the class count), and a tie broken by the lower class id
-        P = np.array([[0.2, 0.5, 0.3], [0.9, 0.05, 0.05], [0.1, 0.7, 0.2],
-                      [0.1, 0.7, 0.2], [0.4, 0.4, 0.2]])
-        got = topk_sets(P, np.array([2, 1, 1, 3, 1]))
-        assert got == [frozenset({1, 2}), frozenset({0}), frozenset({1}),
-                       frozenset({0, 1, 2}), frozenset({0})]
+        P = np.array([[0.2, 0.5, 0.3], [0.9, 0.05, 0.05]])
+        got = topk_sets(P, np.array([2, 1]))
+        assert got == [frozenset({1, 2}), frozenset({0})]
 
 
 class TestMicroMacroF1:
