@@ -6,6 +6,7 @@ Exit status: 0 on success, 1 on usage errors, 2 on data errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -169,18 +170,15 @@ def cmd_eval(args) -> int:
 
 
 def _reproduce_rows(args, g, labels, cfg):
-    def factory(mode):
-        def build(rep):
-            rep_args = argparse.Namespace(**vars(args))
-            rep_args.seed = args.seed + rep if not args.reuse_embedding else args.seed
-            ecfg = _embedding_config(rep_args, sdf=(mode == "sdf"))
-            fn = embed_sdf if mode == "sdf" else embed_fixed
-            return fn(g, ecfg, workers=args.workers)
-        return build
-
     rows = []
     for mode in ("fixed", "sdf"):
-        build = factory(mode)
+        ecfg = _embedding_config(args, sdf=(mode == "sdf"))
+        fn = embed_sdf if mode == "sdf" else embed_fixed
+
+        def build(rep, ecfg=ecfg, fn=fn):
+            walk = dataclasses.replace(ecfg.walk, seed=args.seed + rep)
+            return fn(g, dataclasses.replace(ecfg, walk=walk), workers=args.workers)
+
         if args.reuse_embedding:
             report = run_protocol(build(0), labels, cfg)
         else:

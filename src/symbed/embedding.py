@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -214,26 +214,10 @@ def _prepare_metric(h: sp.csr_matrix, metric: str
 
 
 def _config_snapshot(cfg: EmbeddingConfig) -> dict:
-    return {
-        "mode": cfg.mode,
-        "d": cfg.d,
-        "budget_dim": cfg.budget_dim,
-        "bins": cfg.resolved_bins,
-        "metric": cfg.metric,
-        "walk": {
-            "length_probs": [float(p) for p in cfg.walk.length_probs],
-            "num_walks": cfg.walk.num_walks,
-            "epsilon": cfg.walk.epsilon,
-            "seed": cfg.walk.seed,
-            "weighted": cfg.walk.weighted,
-        },
-        "pagerank": {
-            "tolerance": cfg.pagerank.tolerance,
-            "max_iters": cfg.pagerank.max_iters,
-            "damping": cfg.pagerank.damping,
-            "pure_power": cfg.pagerank.pure_power,
-        },
-    }
+    snap = asdict(cfg)
+    snap["bins"] = cfg.resolved_bins
+    snap["walk"]["length_probs"] = cfg.walk.length_probs.tolist()
+    return snap
 
 
 def _hash_and_rank(g: Graph, cfg: EmbeddingConfig, workers: int,

@@ -4,7 +4,8 @@ Splits shuffle the labeled nodes, train a one-vs-rest logistic classifier on
 a growing prefix (10%..90% by default), predict exactly k_i classes per test
 node, and aggregate micro/macro F1 over shuffles and repetitions.  Includes
 the label-spreading and random-embedding baselines evaluated under the same
-splits.
+splits.  Predicted and true classes are both boolean ``nodes x num_classes``
+indicator matrices.
 """
 
 from __future__ import annotations
@@ -99,39 +100,32 @@ def train_logreg(X, Y: np.ndarray, params: LogRegParams | None = None) -> LogReg
     return LogRegModel(W, b, k, empty, history)
 
 
-def topk_sets(P: np.ndarray, ks: np.ndarray) -> list[frozenset[int]]:
-    """Row-wise top-k_i class sets with ascending-id tie-breaks."""
+def topk_sets(P: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Boolean indicator of each row's top-k_i classes; ties go to the lower id.
+
+    Row i of the result marks the ks[i] highest-scoring columns of P[i]; a
+    row with k_i = 0 is empty.
+    """
     order = np.argsort(-P, axis=1, kind="stable")
-    return [frozenset(int(c) for c in order[i, :ks[i]]) for i in range(len(ks))]
+    out = np.zeros(P.shape, dtype=bool)
+    np.put_along_axis(out, order, np.arange(P.shape[1]) < ks[:, None], axis=1)
+    return out
 
 
-def micro_macro_f1(predicted, truth: LabelTable, nodes) -> tuple[float, float]:
+def micro_macro_f1(pred: np.ndarray, true: np.ndarray) -> tuple[float, float]:
     """Micro F1 from pooled (node, class) counts; macro over all classes.
 
-    `predicted` maps position in `nodes` to a set of class ids.  Classes
-    absent from both truth and prediction contribute F1 = 0 to the macro
-    mean.
+    `pred` and `true` are boolean ``nodes x num_classes`` indicators of the
+    predicted and true classes of the evaluated nodes.  Classes absent from
+    both contribute F1 = 0 to the macro mean.
     """
-    nodes = np.asarray(nodes)
-    if len(nodes) == 0:
+    if len(true) == 0:
         raise ProtocolError("empty evaluation set")
-    k = truth.num_classes
-    tp = np.zeros(k, dtype=np.int64)
-    fp = np.zeros(k, dtype=np.int64)
-    fn = np.zeros(k, dtype=np.int64)
-    for pos, node in enumerate(nodes):
-        pred = predicted[pos]
-        true = truth.labels[node]
-        for c in pred & true:
-            tp[c] += 1
-        for c in pred - true:
-            fp[c] += 1
-        for c in true - pred:
-            fn[c] += 1
-    denom = 2 * tp.sum() + fp.sum() + fn.sum()
+    tp = (pred & true).sum(axis=0)
+    per_den = pred.sum(axis=0) + true.sum(axis=0)  # 2 tp + fp + fn per class
+    denom = per_den.sum()
     micro = 2.0 * tp.sum() / denom if denom else 0.0
-    per_den = 2 * tp + fp + fn
-    per = np.divide(2.0 * tp, per_den, out=np.zeros(k), where=per_den > 0)
+    per = np.divide(2.0 * tp, per_den, out=np.zeros(len(tp)), where=per_den > 0)
     return float(micro), float(per.mean())
 
 
@@ -207,24 +201,24 @@ def _split(labeled: np.ndarray, frac: float, rng: np.random.Generator):
     return perm[:n_tr], perm[n_tr:]
 
 
-def _check_labels(labels: LabelTable) -> np.ndarray:
-    labeled = labels.labeled_nodes()
-    classes = set()
-    for i in labeled:
-        classes |= labels.labels[i]
-    if len(classes) < 2:
-        raise ProtocolError("need at least 2 classes among labeled nodes")
-    return labeled
+def _check_node_count(what: str, n: int, labels: LabelTable) -> None:
+    if n != labels.num_nodes:
+        raise ProtocolError(f"{what} has {n} nodes but the labels cover "
+                            f"{labels.num_nodes}")
 
 
 def _split_runs(labels: LabelTable, cfg: ProtocolConfig, predictor):
     """Micro and macro F1 of every (repetition, shuffle) cell, per fraction.
 
     `predictor(rep)` is called once per repetition and returns a function
-    `predict(train, test)` giving the test nodes' predicted class sets.
-    Split RNG is keyed by ``[seed, rep, shuffle]``.
+    `predict(train, test)` giving the test nodes' predicted classes as a
+    boolean ``len(test) x num_classes`` indicator, scored against the rows of
+    the true-class indicator.  Split RNG is keyed by ``[seed, rep, shuffle]``.
     """
-    labeled = _check_labels(labels)
+    labeled = labels.labeled_nodes()
+    truth = labels.indicator().toarray() > 0
+    if truth.any(axis=0).sum() < 2:
+        raise ProtocolError("need at least 2 classes among labeled nodes")
     micro_runs, macro_runs = [], []
     for rep in range(cfg.repetitions):
         predict = predictor(rep)
@@ -233,7 +227,7 @@ def _split_runs(labels: LabelTable, cfg: ProtocolConfig, predictor):
             mrow, grow = [], []
             for frac in cfg.train_fractions:
                 train, test = _split(labeled, frac, rng)
-                micro, macro = micro_macro_f1(predict(train, test), labels, test)
+                micro, macro = micro_macro_f1(predict(train, test), truth[test])
                 mrow.append(micro)
                 grow.append(macro)
             micro_runs.append(mrow)
@@ -262,6 +256,7 @@ def run_protocol(embedding: Embedding | None, labels: LabelTable,
     def predictor(rep):
         nonlocal snapshot
         emb = embedding_factory(rep) if embedding_factory is not None else embedding
+        _check_node_count("embedding", emb.num_nodes, labels)
         snapshot = dict(emb.config)
         X = emb.matrix
 
@@ -281,17 +276,19 @@ def run_protocol(embedding: Embedding | None, labels: LabelTable,
 
 def label_propagation(g: Graph, labels: LabelTable, train_nodes,
                       alpha: float = 0.9, tol: float = 1e-6,
-                      max_iters: int = 1000) -> list[frozenset[int]]:
+                      max_iters: int = 1000) -> np.ndarray:
     """Spread training labels over the normalized adjacency until fixed.
 
     Iterates F <- alpha * S @ F + (1 - alpha) * Y with S the symmetrically
     normalized (symmetrized) adjacency and Y the train indicator rows, then
-    predicts the top-k_i classes per node.  Nodes no diffusion reaches get
-    the globally most frequent training classes.
+    predicts the top-k_i classes per node as a boolean ``num_nodes x
+    num_classes`` indicator.  Nodes no diffusion reaches get the globally
+    most frequent training classes, ties to the lower class id.
     """
     train_nodes = np.asarray(train_nodes)
     if len(train_nodes) == 0:
         raise ProtocolError("label propagation needs at least one labeled node")
+    _check_node_count("graph", g.num_nodes, labels)
     n, k = g.num_nodes, labels.num_classes
     W = g.adjacency()
     W = W + W.T
@@ -302,9 +299,7 @@ def label_propagation(g: Graph, labels: LabelTable, train_nodes,
     S = sp.diags(inv_sqrt) @ W @ sp.diags(inv_sqrt)
 
     Y = np.zeros((n, k))
-    for i in train_nodes:
-        for c in labels.labels[i]:
-            Y[i, c] = 1.0
+    Y[train_nodes] = labels.indicator()[train_nodes].toarray()
     F = Y.copy()
     for _ in range(max_iters):
         nxt = alpha * (S @ F) + (1.0 - alpha) * Y
@@ -313,21 +308,9 @@ def label_propagation(g: Graph, labels: LabelTable, train_nodes,
             break
         F = nxt
 
-    counts = Y.sum(axis=0)
-    majority = np.argsort(-counts, kind="stable")
-    ks = labels.label_counts
-    order = np.argsort(-F, axis=1, kind="stable")
-    out: list[frozenset[int]] = []
     reached = F.sum(axis=1) > 0
-    for i in range(n):
-        ki = int(ks[i])
-        if ki == 0:
-            out.append(frozenset())
-        elif reached[i]:
-            out.append(frozenset(int(c) for c in order[i, :ki]))
-        else:
-            out.append(frozenset(int(c) for c in majority[:ki]))
-    return out
+    return topk_sets(np.where(reached[:, None], F, Y.sum(axis=0)),
+                     labels.label_counts)
 
 
 def run_protocol_lp(g: Graph, labels: LabelTable,
@@ -337,8 +320,7 @@ def run_protocol_lp(g: Graph, labels: LabelTable,
     cfg = cfg or ProtocolConfig()
 
     def predict(train, test):
-        preds_all = label_propagation(g, labels, train, alpha)
-        return [preds_all[i] for i in test]
+        return label_propagation(g, labels, train, alpha)[test]
 
     micro_runs, macro_runs = _split_runs(labels, cfg, lambda rep: predict)
     return EvalReport.from_runs(cfg.train_fractions, micro_runs, macro_runs,

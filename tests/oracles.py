@@ -12,6 +12,8 @@ the slow, direct versions that pin it:
   (``_metric_columns``).
 - ``digitize`` quantizes one score and pins
   ``symbed.embedding._quantize_array``.
+- ``topk_sets_oracle`` picks each row's top-k_i classes as a set and pins
+  the indicator rows of ``symbed.evaluation.topk_sets``.
 
 They share the library's stream keys (``stream_key``, ``uniform_at``), its
 walk-length array (``walk_lengths``) and its arc-weight sums
@@ -211,3 +213,9 @@ def digitize(s: float, b: int) -> float:
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"score {s} outside [0, 1]")
     return float(np.floor(s * b + 0.5) / b)
+
+
+def topk_sets_oracle(P: np.ndarray, ks) -> list[frozenset[int]]:
+    """Row-wise top-k_i class sets with ascending-id tie-breaks."""
+    order = np.argsort(-P, axis=1, kind="stable")
+    return [frozenset(int(c) for c in order[i, :ks[i]]) for i in range(len(ks))]

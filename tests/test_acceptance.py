@@ -12,6 +12,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import symbed
 from symbed.embedding import EmbeddingConfig, _metric_columns, _prepare_metric
@@ -25,7 +26,8 @@ from symbed.walks import WalkConfig, hash_all
 
 from conftest import require_dataset
 from oracles import similarity
-from test_evaluation import f1_confusion_oracle, finite_difference_grad, label_table
+from test_evaluation import (class_rows, f1_confusion_oracle, finite_difference_grad,
+                             label_table)
 from test_ranking import dense_pagerank, random_small_graph
 from test_similarity import dense_metric, random_pair
 
@@ -175,7 +177,7 @@ class TestOracleEquivalences:
                     pred_sets.append(frozenset(rng.choice(k, ki, replace=False).tolist()))
                 truth = label_table(truth_sets, k)
                 nodes = list(range(n))
-                assert micro_macro_f1(pred_sets, truth, nodes) \
+                assert micro_macro_f1(class_rows(pred_sets, k), class_rows(truth_sets, k)) \
                     == f1_confusion_oracle(pred_sets, truth, nodes)
 
     def test_logreg_gradient_matches_finite_differences(self):
@@ -262,6 +264,28 @@ class TestScaling:
                            for _ in range(20)], 1024, 2048)
             print(f"similarity ratio {ratio:.2f} ({t1:.3f}s -> {t2:.3f}s)")
             assert 1.6 <= ratio <= 2.6
+
+    def test_cosine_cost_grows_linearly_in_support(self):
+        # the library cosine path on two hash rows: doubling their nnz
+        # should not blow up the cost
+        with criterion("scaling-cosine-linear-in-support"):
+            rng = np.random.default_rng(3)
+
+            def two_rows(k):
+                cols = [np.sort(rng.choice(4 * k, k, replace=False)) for _ in range(2)]
+                return sp.csr_matrix((np.full(2 * k, 1.0 / k), np.concatenate(cols),
+                                      [0, k, 2 * k]), shape=(2, 4 * k))
+
+            hashes = {k: two_rows(k) for k in (100_000, 200_000)}
+
+            def cosine(k):
+                for _ in range(5):
+                    _metric_columns(hashes[k], np.array([0]), "cosine",
+                                    _prepare_metric(hashes[k], "cosine"))
+
+            ratio, t1, t2 = self._ratio(cosine, 100_000, 200_000)
+            print(f"cosine ratio {ratio:.2f} ({t1:.3f}s -> {t2:.3f}s)")
+            assert ratio < 4.0
 
 
 class TestEndToEndSanity:

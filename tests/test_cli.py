@@ -167,6 +167,16 @@ class TestEval:
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["alpha"] == 0.9
 
+    def test_lp_graph_of_other_node_count_is_data_error(self, dataset, tmp_path, capsys):
+        edges, labels = dataset
+        emb = self._embed(edges, tmp_path)
+        other = tmp_path / "other.tsv"
+        write_edge_list(planted_partition(90, 3, 0.25, 0.02, seed=8)[0], other)
+        assert run(["eval", emb, "--labels", labels, "--edges", other,
+                    "--out", tmp_path / "x", "--baseline", "lp", "--fractions", "0.5",
+                    "--shuffles", 1, "--reps", 1]) == 2
+        assert "graph has 90 nodes but the labels cover 70" in capsys.readouterr().err
+
 
 class TestReproduce:
     def test_unknown_dataset_lists_references(self, capsys):

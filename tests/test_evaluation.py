@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbed.evaluation import (EvalReport, LogRegModel, LogRegParams,
                                ProtocolConfig, ProtocolError, label_propagation,
@@ -10,9 +12,25 @@ from symbed.evaluation import (EvalReport, LogRegModel, LogRegParams,
 from symbed.graph import LabelTable, from_arcs
 from symbed.synth import planted_partition, random_graph
 
+from oracles import topk_sets_oracle
+
 
 def label_table(sets, num_classes):
     return LabelTable(labels=[frozenset(s) for s in sets], num_classes=num_classes)
+
+
+def class_rows(x, num_classes=None):
+    """Sets <-> the library's class format, boolean indicator rows.
+
+    A list of class-id sets becomes a ``len x num_classes`` boolean array;
+    an indicator array comes back as a list of frozensets, one per row.
+    """
+    if num_classes is None:
+        return [frozenset(np.flatnonzero(row).tolist()) for row in x]
+    out = np.zeros((len(x), num_classes), dtype=bool)
+    for i, s in enumerate(x):
+        out[i, list(s)] = True
+    return out
 
 
 def finite_difference_grad(theta, X, Y, reg, h=1e-6):
@@ -161,50 +179,58 @@ class TestTrainLogreg:
 
 class TestPredictTopk:
     def test_top_one(self):
-        assert topk_sets(np.array([[0.1, 0.7, 0.2]]), np.array([1])) == [{1}]
+        assert class_rows(topk_sets(np.array([[0.1, 0.7, 0.2]]), np.array([1]))) == [{1}]
 
     def test_k_equals_num_classes(self):
-        assert topk_sets(np.array([[0.1, 0.7, 0.2]]), np.array([3])) == [{0, 1, 2}]
+        assert class_rows(topk_sets(np.array([[0.1, 0.7, 0.2]]),
+                                    np.array([3]))) == [{0, 1, 2}]
 
     def test_tie_breaks_by_class_id(self):
-        assert topk_sets(np.array([[0.4, 0.4, 0.2]]), np.array([1])) == [{0}]
+        assert class_rows(topk_sets(np.array([[0.4, 0.4, 0.2]]), np.array([1]))) == [{0}]
 
     def test_topk_sets_rows(self):
         P = np.array([[0.2, 0.5, 0.3], [0.9, 0.05, 0.05]])
-        got = topk_sets(P, np.array([2, 1]))
+        got = class_rows(topk_sets(P, np.array([2, 1])))
         assert got == [frozenset({1, 2}), frozenset({0})]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8), k=st.integers(1, 6))
+    def test_indicator_matches_set_oracle_under_ties(self, data, n, k):
+        P = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                                        min_size=n * k, max_size=n * k))).reshape(n, k)
+        ks = np.array(data.draw(st.lists(st.integers(0, k), min_size=n, max_size=n)))
+        assert class_rows(topk_sets(P, ks)) == topk_sets_oracle(P, ks)
 
 
 class TestMicroMacroF1:
     def test_perfect_predictions(self):
-        truth = label_table([{0}, {1}, {1}], 2)
-        preds = [frozenset({0}), frozenset({1}), frozenset({1})]
-        assert micro_macro_f1(preds, truth, [0, 1, 2]) == (1.0, 1.0)
+        truth = class_rows([{0}, {1}, {1}], 2)
+        preds = class_rows([frozenset({0}), frozenset({1}), frozenset({1})], 2)
+        assert micro_macro_f1(preds, truth) == (1.0, 1.0)
 
     def test_hand_counted_example(self):
-        truth = label_table([{0}, {1}, {1}], 2)
-        preds = [frozenset({0}), frozenset({1}), frozenset({0})]
-        micro, macro = micro_macro_f1(preds, truth, [0, 1, 2])
+        truth = class_rows([{0}, {1}, {1}], 2)
+        preds = class_rows([frozenset({0}), frozenset({1}), frozenset({0})], 2)
+        micro, macro = micro_macro_f1(preds, truth)
         assert micro == pytest.approx(2 / 3)
         assert macro == pytest.approx(2 / 3)
 
     def test_fully_wrong(self):
-        truth = label_table([{0}, {0}], 2)
-        preds = [frozenset({1}), frozenset({1})]
-        micro, macro = micro_macro_f1(preds, truth, [0, 1])
+        truth = class_rows([{0}, {0}], 2)
+        preds = class_rows([frozenset({1}), frozenset({1})], 2)
+        micro, macro = micro_macro_f1(preds, truth)
         assert micro == 0.0
         assert macro == 0.0
 
     def test_absent_class_counts_as_zero_in_macro(self):
-        truth = label_table([{0}, {0}], 3)
-        preds = [frozenset({0}), frozenset({0})]
-        _, macro = micro_macro_f1(preds, truth, [0, 1])
+        truth = class_rows([{0}, {0}], 3)
+        preds = class_rows([frozenset({0}), frozenset({0})], 3)
+        _, macro = micro_macro_f1(preds, truth)
         assert macro == pytest.approx(1 / 3)
 
     def test_empty_eval_set_rejected(self):
-        truth = label_table([{0}], 1)
         with pytest.raises(ProtocolError):
-            micro_macro_f1([], truth, [])
+            micro_macro_f1(class_rows([], 1), class_rows([], 1))
 
     def test_matches_confusion_oracle_1000_cases(self):
         rng = np.random.default_rng(17)
@@ -221,7 +247,7 @@ class TestMicroMacroF1:
                 ki = len(sets[i])
                 preds.append(frozenset(rng.choice(k, size=ki, replace=False).tolist()))
             nodes = list(range(n))
-            got = micro_macro_f1(preds, truth, nodes)
+            got = micro_macro_f1(class_rows(preds, k), class_rows(sets, k))
             want = f1_confusion_oracle(preds, truth, nodes)
             assert got[0] == want[0] and got[1] == want[1]
 
@@ -232,7 +258,7 @@ class TestMicroMacroF1:
             truth = label_table([{int(rng.integers(k))} for _ in range(n)], k)
             preds = [frozenset({int(rng.integers(k))}) for _ in range(n)]
             nodes = list(range(n))
-            micro, _ = micro_macro_f1(preds, truth, nodes)
+            micro, _ = micro_macro_f1(class_rows(preds, k), class_rows(truth.labels, k))
             acc = np.mean([preds[i] == truth.labels[i] for i in nodes])
             assert micro == pytest.approx(acc)
 
@@ -307,6 +333,18 @@ class TestProtocol:
         rep = run_protocol(emb, labels, cfg)
         assert rep.runs_per_fraction == 2  # runs fine with unlabeled rows present
 
+    @pytest.mark.parametrize("n", [40, 80])
+    def test_embedding_node_count_must_match_labels(self, n):
+        _, labels = planted_partition(60, 3, 0.3, 0.02, seed=6)
+        cfg = ProtocolConfig(train_fractions=(0.5,), shuffles=1, repetitions=2)
+        wrong = random_embedding(n, 8, 1)
+        with pytest.raises(ProtocolError, match=f"embedding has {n} nodes .* 60"):
+            run_protocol(wrong, labels, cfg)
+        # a later repetition's embedding is checked too
+        factory = lambda rep: random_embedding(60, 8, 1) if rep == 0 else wrong
+        with pytest.raises(ProtocolError, match=f"embedding has {n} nodes .* 60"):
+            run_protocol(None, labels, cfg, embedding_factory=factory)
+
 
 class TestLabelPropagation:
     def test_two_components_adopt_their_seed(self):
@@ -317,27 +355,27 @@ class TestLabelPropagation:
         # k_i = 0 for unlabeled nodes, so check scores via labeled protocol:
         # instead relabel everyone to force k_i = 1 predictions
         labels_full = label_table([{0}] * 3 + [{1}] * 3, 2)
-        preds = label_propagation(g, labels_full, [0, 3], alpha=0.9)
+        preds = class_rows(label_propagation(g, labels_full, [0, 3], alpha=0.9))
         assert all(p == {0} for p in preds[:3])
         assert all(p == {1} for p in preds[3:])
 
     def test_alpha_zero_keeps_only_seeds(self):
         g = from_arcs(3, [0, 1], [1, 2], directed=False)
         labels = label_table([{0}, {1}, {1}], 2)
-        preds = label_propagation(g, labels, [0], alpha=0.0)
+        preds = class_rows(label_propagation(g, labels, [0], alpha=0.0))
         assert preds[0] == {0}
         # nodes the single step never reaches fall back to the majority class
         assert preds[1] == {0} and preds[2] == {0}
 
     def test_path_tie_breaks_to_lower_class(self, path3):
         labels = label_table([{0}, {0}, {1}], 2)
-        preds = label_propagation(path3, labels, [0, 2], alpha=0.9)
+        preds = class_rows(label_propagation(path3, labels, [0, 2], alpha=0.9))
         assert preds[1] == {0}
 
     def test_unreachable_gets_majority(self):
         g = from_arcs(4, [0, 1], [1, 0], directed=False)  # nodes 2, 3 isolated
         labels = label_table([{1}, {1}, {0}, {0}], 2)
-        preds = label_propagation(g, labels, [0, 1], alpha=0.9)
+        preds = class_rows(label_propagation(g, labels, [0, 1], alpha=0.9))
         assert preds[2] == {1} and preds[3] == {1}
 
     def test_no_train_nodes_rejected(self):
@@ -351,6 +389,13 @@ class TestLabelPropagation:
         train = labels.labeled_nodes()[:10]
         preds = label_propagation(g, labels, train, alpha=0.9)
         assert len(preds) == 40
+
+    @pytest.mark.parametrize("n", [40, 80])
+    def test_graph_node_count_must_match_labels(self, n):
+        _, labels = planted_partition(60, 2, 0.3, 0.05, seed=9)
+        cfg = ProtocolConfig(train_fractions=(0.5,), shuffles=1, repetitions=1)
+        with pytest.raises(ProtocolError, match=f"graph has {n} nodes .* 60"):
+            run_protocol_lp(random_graph(n, 3, seed=1), labels, cfg)
 
     def test_protocol_lp_deterministic(self):
         g, labels = planted_partition(50, 2, 0.3, 0.05, seed=9)
