@@ -352,10 +352,15 @@ def load_embedding(in_dir) -> Embedding:
             meta = json.load(fh)
         except json.JSONDecodeError as exc:
             raise EmbeddingFormatError(f"{cfg_path}: not valid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise EmbeddingFormatError(f"{cfg_path}: expected a JSON object")
     if meta.get("format_version") != FORMAT_VERSION:
         raise EmbeddingFormatError(
             f"{cfg_path}: format version {meta.get('format_version')!r} "
             f"unsupported (expected {FORMAT_VERSION})")
+    for key in ("shape", "value_bits", "config"):
+        if key not in meta:
+            raise EmbeddingFormatError(f"{cfg_path}: missing key {key!r}")
     try:
         mat = mmread(src / MATRIX_FILE).tocsr()
     except Exception as exc:
@@ -363,13 +368,16 @@ def load_embedding(in_dir) -> Embedding:
     if list(meta["shape"]) != list(mat.shape):
         raise EmbeddingFormatError(
             f"matrix shape {mat.shape} does not match recorded {meta['shape']}")
-    ind = _read_feature_map(src / FEATURE_MAP_FILE, mat.shape[1])
+    ind = _read_feature_map(src / FEATURE_MAP_FILE, *mat.shape)
     return Embedding(matrix=mat, ind=np.asarray(ind, dtype=np.int64),
                      config=meta["config"], value_bits=int(meta["value_bits"]))
 
 
-def _read_feature_map(path: Path, num_columns: int) -> list[int]:
-    """Pivot node ids from ``j<TAB>node`` lines, j running 0..num_columns-1."""
+def _read_feature_map(path: Path, num_rows: int, num_columns: int) -> list[int]:
+    """Pivot node ids from ``j<TAB>node`` lines, j running 0..num_columns-1.
+
+    Every id must name a matrix row, one of 0..num_rows-1.
+    """
     if not path.is_file():
         raise EmbeddingFormatError(f"{path} not found")
     ind: list[int] = []
@@ -385,6 +393,9 @@ def _read_feature_map(path: Path, num_columns: int) -> list[int]:
             if j != len(ind):
                 raise EmbeddingFormatError(
                     f"{path}:{lineno}: column {j} out of order (expected {len(ind)})")
+            if not 0 <= node < num_rows:
+                raise EmbeddingFormatError(
+                    f"{path}:{lineno}: pivot node {node} outside [0, {num_rows})")
             ind.append(node)
     if len(ind) != num_columns:
         raise EmbeddingFormatError(

@@ -5,7 +5,7 @@ a growing prefix (10%..90% by default), predict exactly k_i classes per test
 node, and aggregate micro/macro F1 over shuffles and repetitions.  Includes
 the label-spreading and random-embedding baselines evaluated under the same
 splits.  Predicted and true classes are both boolean ``nodes x num_classes``
-indicator matrices.
+indicator matrices; the true one is ``LabelTable.indicator``, read as stored.
 """
 
 from __future__ import annotations
@@ -138,6 +138,8 @@ class ProtocolConfig:
     classifier: LogRegParams = field(default_factory=LogRegParams)
 
     def __post_init__(self):
+        if not self.train_fractions:
+            raise ValueError("train_fractions is empty")
         for f in self.train_fractions:
             if not 0.0 < f < 1.0:
                 raise ValueError(f"train fraction {f} outside (0, 1)")
@@ -216,7 +218,7 @@ def _split_runs(labels: LabelTable, cfg: ProtocolConfig, predictor):
     the true-class indicator.  Split RNG is keyed by ``[seed, rep, shuffle]``.
     """
     labeled = labels.labeled_nodes()
-    truth = labels.indicator().toarray() > 0
+    truth = labels.indicator
     if truth.any(axis=0).sum() < 2:
         raise ProtocolError("need at least 2 classes among labeled nodes")
     micro_runs, macro_runs = [], []
@@ -249,7 +251,6 @@ def run_protocol(embedding: Embedding | None, labels: LabelTable,
     if embedding is None and embedding_factory is None:
         raise ProtocolError("need an embedding or an embedding factory")
     labels_k = labels.label_counts
-    Y_full = np.asarray(labels.indicator().todense())
     empty_class_runs = 0
     snapshot = {}
 
@@ -262,7 +263,7 @@ def run_protocol(embedding: Embedding | None, labels: LabelTable,
 
         def predict(train, test):
             nonlocal empty_class_runs
-            model = train_logreg(X[train], Y_full[train], cfg.classifier)
+            model = train_logreg(X[train], labels.indicator[train], cfg.classifier)
             if model.empty_classes:
                 empty_class_runs += 1
             return topk_sets(model.predict_proba(X[test]), labels_k[test])
@@ -283,8 +284,11 @@ def label_propagation(g: Graph, labels: LabelTable, train_nodes,
     normalized (symmetrized) adjacency and Y the train indicator rows, then
     predicts the top-k_i classes per node as a boolean ``num_nodes x
     num_classes`` indicator.  Nodes no diffusion reaches get the globally
-    most frequent training classes, ties to the lower class id.
+    most frequent training classes, ties to the lower class id.  Raises
+    ValueError unless 0 <= alpha < 1.
     """
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha {alpha} outside [0, 1)")
     train_nodes = np.asarray(train_nodes)
     if len(train_nodes) == 0:
         raise ProtocolError("label propagation needs at least one labeled node")
@@ -299,7 +303,7 @@ def label_propagation(g: Graph, labels: LabelTable, train_nodes,
     S = sp.diags(inv_sqrt) @ W @ sp.diags(inv_sqrt)
 
     Y = np.zeros((n, k))
-    Y[train_nodes] = labels.indicator()[train_nodes].toarray()
+    Y[train_nodes] = labels.indicator[train_nodes]
     F = Y.copy()
     for _ in range(max_iters):
         nxt = alpha * (S @ F) + (1.0 - alpha) * Y

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -199,53 +201,55 @@ def write_edge_list(g: Graph, path) -> None:
 
 
 class LabelError(ValueError):
-    """Malformed label file or out-of-range ids."""
+    """Malformed label file or indicator, or out-of-range ids."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabelTable:
-    """Per-node class-id sets; nodes may be unlabeled (empty set)."""
+    """Node classes as one read-only bool ``nodes x num_classes`` indicator."""
 
-    labels: list[frozenset[int]]
-    num_classes: int
+    indicator: np.ndarray
 
     def __post_init__(self):
-        for i, s in enumerate(self.labels):
-            for c in s:
-                if not 0 <= c < self.num_classes:
-                    raise LabelError(f"node {i}: class id {c} out of range")
+        ind = self.indicator
+        if not isinstance(ind, np.ndarray) or ind.dtype != bool or ind.ndim != 2:
+            raise LabelError("labels must be a 2-d bool indicator array")
+        ind.setflags(write=False)
 
     @property
     def num_nodes(self) -> int:
-        return len(self.labels)
+        return self.indicator.shape[0]
+
+    @property
+    def num_classes(self) -> int:
+        return self.indicator.shape[1]
 
     @property
     def label_counts(self) -> np.ndarray:
         """k_i: number of true classes of each node (0 for unlabeled)."""
-        return np.array([len(s) for s in self.labels], dtype=np.int64)
+        return self.indicator.sum(axis=1)
 
     def labeled_nodes(self) -> np.ndarray:
-        return np.flatnonzero(self.label_counts > 0)
+        return np.flatnonzero(self.indicator.any(axis=1))
 
-    def indicator(self) -> sp.csr_matrix:
-        """Node x class binary membership matrix."""
-        rows, cols = [], []
-        for i, s in enumerate(self.labels):
-            for c in sorted(s):
-                rows.append(i)
-                cols.append(c)
-        data = np.ones(len(rows), dtype=np.float64)
-        return sp.csr_matrix((data, (rows, cols)),
-                             shape=(self.num_nodes, self.num_classes))
+    @cached_property
+    def labels(self) -> tuple[frozenset[int], ...]:
+        """Each node's class-id set, read from the indicator once."""
+        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.indicator)
 
 
 def load_labels(path, num_nodes: int) -> LabelTable:
     """Load ``node_id<TAB>class[,class...]`` lines into a LabelTable.
 
-    Unlisted nodes get an empty label set; repeated node lines merge.
+    Unlisted nodes get an all-False row; repeated node lines merge.  A class
+    id whose dense ``num_nodes x (id + 1)`` float64 matrix, which label
+    propagation builds, would not fit in physical memory is refused before
+    anything is allocated.
     """
-    sets: list[set[int]] = [set() for _ in range(num_nodes)]
-    max_class = -1
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    max_classes = memory // (8 * max(num_nodes, 1))
+    nodes: list[int] = []
+    classes: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -270,9 +274,16 @@ def load_labels(path, num_nodes: int) -> LabelTable:
                         f"{path}:{lineno}: class id must be an integer, got {tok!r}") from None
                 if c < 0:
                     raise LabelError(f"{path}:{lineno}: negative class id {c}")
-                sets[node].add(c)
-                max_class = max(max_class, c)
-    return LabelTable(labels=[frozenset(s) for s in sets], num_classes=max_class + 1)
+                if c >= max_classes:
+                    raise LabelError(
+                        f"{path}:{lineno}: class id {c} needs a {num_nodes} x {c + 1} "
+                        f"float64 matrix, more than the machine's "
+                        f"{memory} bytes of memory")
+                nodes.append(node)
+                classes.append(c)
+    indicator = np.zeros((num_nodes, max(classes, default=-1) + 1), dtype=bool)
+    indicator[nodes, classes] = True
+    return LabelTable(indicator)
 
 
 def connected_components(g: Graph) -> int:

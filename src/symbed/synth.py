@@ -21,7 +21,7 @@ def random_graph(n: int, arcs_per_node: int = 5, seed: int = 0,
 
 def planted_partition(n: int, num_blocks: int, p_in: float, p_out: float,
                       seed: int = 0) -> tuple[Graph, LabelTable]:
-    """Undirected block-community graph; the block id is the node label.
+    """Undirected block-community graph labeled by the one-hot block indicator.
 
     Every node also gets one guaranteed in-block edge so no block member is
     isolated from its community.
@@ -44,6 +44,4 @@ def planted_partition(n: int, num_blocks: int, p_in: float, p_out: float,
     src = np.concatenate([u, v])
     dst = np.concatenate([v, u])
     g = from_arcs(n, src, dst, directed=False)
-    labels = LabelTable(labels=[frozenset([int(b)]) for b in blocks],
-                        num_classes=num_blocks)
-    return g, labels
+    return g, LabelTable(blocks[:, None] == np.arange(num_blocks))

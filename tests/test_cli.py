@@ -167,6 +167,32 @@ class TestEval:
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["alpha"] == 0.9
 
+    def test_lp_alpha_outside_unit_interval_is_usage_error(self, dataset, tmp_path, capsys):
+        edges, labels = dataset
+        emb = self._embed(edges, tmp_path)
+        assert run(["eval", emb, "--labels", labels, "--edges", edges,
+                    "--out", tmp_path / "x", "--baseline", "lp", "--alpha", 1.5,
+                    "--fractions", "0.5", "--shuffles", 1, "--reps", 1]) == 1
+        assert "alpha 1.5 outside [0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[1]\n", '{"format_version": 1}\n'])
+    def test_malformed_config_is_data_error(self, dataset, tmp_path, text):
+        edges, labels = dataset
+        emb = self._embed(edges, tmp_path)
+        (emb / "config.json").write_text(text)
+        assert run(["eval", emb, "--labels", labels, "--out", tmp_path / "x",
+                    "--fractions", "0.5", "--shuffles", 1, "--reps", 1]) == 2
+
+    def test_absurd_class_id_is_data_error(self, dataset, tmp_path, capsys):
+        edges, labels = dataset
+        emb = self._embed(edges, tmp_path)
+        huge = tmp_path / "huge.tsv"
+        huge.write_text(labels.read_text() + f"0\t{2**40}\n")
+        assert run(["stats", "--edges", edges, "--labels", huge]) == 2
+        assert run(["eval", emb, "--labels", huge, "--out", tmp_path / "x",
+                    "--fractions", "0.5", "--shuffles", 1, "--reps", 1]) == 2
+        assert "class id 1099511627776" in capsys.readouterr().err
+
     def test_lp_graph_of_other_node_count_is_data_error(self, dataset, tmp_path, capsys):
         edges, labels = dataset
         emb = self._embed(edges, tmp_path)

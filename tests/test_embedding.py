@@ -285,10 +285,10 @@ class TestPersistence:
                   st.integers(0, 256).map(lambda k: k / 256)),
         min_size=1, max_size=60))
     def test_shortest_text_round_trips_exactly(self, values):
-        # one value per row, spread over three columns
+        # one value per row, spread over three columns; pivots name rows
         rows = np.arange(len(values))
         m = sp.csr_matrix((np.array(values), (rows, rows % 3)), shape=(len(values), 3))
-        emb = Embedding(matrix=m, ind=np.arange(3), config={})
+        emb = Embedding(matrix=m, ind=np.arange(3) % len(values), config={})
         with tempfile.TemporaryDirectory() as tmp:
             save_embedding(emb, tmp)
             back = load_embedding(tmp).matrix
@@ -352,6 +352,32 @@ class TestPersistence:
         lines = path.read_text().splitlines(keepends=True)
         path.write_text(line + "\n" + "".join(lines[1:]))
         with pytest.raises(EmbeddingFormatError, match="feature_map.tsv:1"):
+            load_embedding(tmp_path / "e")
+
+    @pytest.mark.parametrize("key", ["shape", "value_bits", "config"])
+    def test_missing_config_key_rejected(self, tmp_path, key):
+        cfg_file = self._saved(tmp_path) / "config.json"
+        meta = json.loads(cfg_file.read_text())
+        del meta[key]
+        cfg_file.write_text(json.dumps(meta))
+        with pytest.raises(EmbeddingFormatError, match=f"config.json: missing key '{key}'"):
+            load_embedding(tmp_path / "e")
+
+    def test_non_object_config_rejected(self, tmp_path):
+        (self._saved(tmp_path) / "config.json").write_text("[1]\n")
+        with pytest.raises(EmbeddingFormatError, match="config.json: expected a JSON object"):
+            load_embedding(tmp_path / "e")
+
+    @pytest.mark.parametrize("lineno,node", [(2, 7), (3, -4), (1, 3)])
+    def test_pivot_outside_rows_rejected(self, tmp_path, lineno, node):
+        m = sp.csr_matrix(np.eye(3))
+        save_embedding(Embedding(matrix=m, ind=np.arange(3), config={}), tmp_path / "e")
+        path = tmp_path / "e" / "feature_map.tsv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[lineno - 1] = f"{lineno - 1}\t{node}\n"
+        path.write_text("".join(lines))
+        with pytest.raises(EmbeddingFormatError,
+                           match=rf"feature_map.tsv:{lineno}: pivot node {node} outside \[0, 3\)"):
             load_embedding(tmp_path / "e")
 
     def test_missing_feature_map_rejected(self, tmp_path):

@@ -16,7 +16,7 @@ from oracles import topk_sets_oracle
 
 
 def label_table(sets, num_classes):
-    return LabelTable(labels=[frozenset(s) for s in sets], num_classes=num_classes)
+    return LabelTable(class_rows(sets, num_classes))
 
 
 def class_rows(x, num_classes=None):
@@ -308,6 +308,8 @@ class TestProtocol:
             ProtocolConfig(train_fractions=(0.0,))
         with pytest.raises(ValueError):
             ProtocolConfig(train_fractions=(1.0,))
+        with pytest.raises(ValueError, match="empty"):
+            ProtocolConfig(train_fractions=())
 
     def test_split_too_small_errors(self):
         labels = label_table([{0}, {1}, {0}], 2)
@@ -366,6 +368,15 @@ class TestLabelPropagation:
         assert preds[0] == {0}
         # nodes the single step never reaches fall back to the majority class
         assert preds[1] == {0} and preds[2] == {0}
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, -0.5, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        g, labels = planted_partition(60, 3, 0.3, 0.02, seed=6)
+        with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+            label_propagation(g, labels, [0, 1, 2], alpha=alpha)
+        cfg = ProtocolConfig(train_fractions=(0.5,), shuffles=1, repetitions=1)
+        with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+            run_protocol_lp(g, labels, cfg, alpha=alpha)
 
     def test_path_tie_breaks_to_lower_class(self, path3):
         labels = label_table([{0}, {0}, {1}], 2)

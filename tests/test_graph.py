@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symbed.graph import (DatasetStats, GraphFormatError, LabelError,
-                          connected_components, dataset_stats, from_arcs,
-                          load_edge_list, load_labels, write_edge_list)
+                          LabelTable, connected_components, dataset_stats,
+                          from_arcs, load_edge_list, load_labels,
+                          write_edge_list)
 
 from conftest import require_dataset
 
@@ -158,9 +159,57 @@ class TestLoadLabels:
 
     def test_indicator_shape(self, tmp_path):
         t = load_labels(_write(tmp_path, "0\t1\n2\t0,1\n", "l.tsv"), num_nodes=3)
-        ind = t.indicator().toarray()
+        ind = t.indicator
         assert ind.shape == (3, 2)
-        assert ind[2].tolist() == [1.0, 1.0]
+        assert ind[2].tolist() == [True, True]
+
+    def test_absurd_class_id_refused_before_allocating(self, tmp_path):
+        # a 3 x 2**40 float64 matrix is 24 TiB: refused by the size check
+        path = _write(tmp_path, "0\t1\n1\t%d\n" % 2**40, "l.tsv")
+        with pytest.raises(LabelError, match=r"l\.tsv:2: class id 1099511627776 "):
+            load_labels(path, num_nodes=3)
+
+    def test_table_rejects_other_arrays(self):
+        with pytest.raises(LabelError, match="2-d bool"):
+            LabelTable(np.array([True, False]))
+        with pytest.raises(LabelError, match="2-d bool"):
+            LabelTable(np.eye(3))
+        with pytest.raises(LabelError, match="2-d bool"):
+            LabelTable([[True]])
+
+    def test_table_is_read_only(self):
+        t = LabelTable(np.eye(3, dtype=bool))
+        with pytest.raises(ValueError):
+            t.indicator[0, 1] = True
+        assert not callable(t.indicator)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), k=st.integers(1, 6))
+    def test_file_round_trips_to_indicator(self, data, n, k):
+        sets = data.draw(st.lists(st.frozensets(st.integers(0, k - 1)),
+                                  min_size=n, max_size=n))
+        lines = []
+        for node, s in enumerate(sets):
+            if not s:
+                continue  # an unlabeled node is left out of the file
+            parts = sorted(s)
+            # a cut short of the end splits the classes over two lines
+            cut = data.draw(st.integers(1, len(parts)))
+            for chunk in (parts[:cut], parts[cut:]):
+                if chunk:
+                    lines.append(f"{node}\t{','.join(map(str, chunk))}\n")
+        lines = data.draw(st.permutations(lines))
+        with tempfile.TemporaryDirectory() as tmp:
+            t = load_labels(_write(Path(tmp), "".join(lines), "l.tsv"), num_nodes=n)
+        used = max((c for s in sets for c in s), default=-1) + 1
+        want = np.zeros((n, used), dtype=bool)
+        for node, s in enumerate(sets):
+            want[node, list(s)] = True
+        assert t.indicator.dtype == bool
+        assert np.array_equal(t.indicator, want)
+        assert list(t.labels) == sets
+        assert t.label_counts.tolist() == [len(s) for s in sets]
+        assert t.labeled_nodes().tolist() == [i for i, s in enumerate(sets) if s]
 
 
 class TestDegreesAndComponents:
