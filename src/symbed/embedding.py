@@ -18,6 +18,15 @@ most ``num_nodes * budget_dim`` values; the total is at most that plus the
 crossing column's nnz, itself at most ``num_nodes``.  So the 16-bit byte
 parity with a dense ``budget_dim / 2``-column 32-bit matrix holds for the
 columns before the crossing one, not necessarily for the crossing column.
+
+On disk an embedding is a directory of three files: ``embedding.mtx`` (a
+Matrix Market coordinate matrix), ``feature_map.tsv`` (``column<TAB>node``
+lines) and ``config.json`` (format version, shape, ``value_bits`` and the
+config snapshot).  A quantized embedding (``value_bits`` 16) stores every
+value ``v`` as the integer bin code ``K = rint(v * bins)`` in an ``integer``
+field; its value is ``K / bins``, with ``bins`` read from the snapshot in
+``config.json``.  Unquantized values (``value_bits`` 32) are ``real`` entries
+in shortest round-trip decimal text.  Both read back bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from .graph import Graph
 from .ranking import PageRankConfig, pagerank, rank_nodes
 from .walks import WalkConfig, hash_all
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: quantized values stored as integer bin codes
 
 MATRIX_FILE = "embedding.mtx"
 FEATURE_MAP_FILE = "feature_map.tsv"
@@ -310,23 +319,67 @@ def embed_sdf(g: Graph, cfg: EmbeddingConfig | None = None, *,
     return _embed(g, cfg, workers, timings)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _valid_bins(config) -> int | None:
+    """The snapshot's ``bins`` when it is an int >= 2, else None."""
+    bins = config.get("bins") if isinstance(config, dict) else None
+    return bins if _is_int(bins) and bins >= 2 else None
+
+
+def _bin_codes(values: np.ndarray, bins: int) -> np.ndarray:
+    """The integers ``K`` with ``K / bins`` equal to ``values`` bit for bit.
+
+    Raises ValueError when some value is no such quotient, including NaN,
+    infinities, -0.0 and values whose code overflows int64.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        codes = np.rint(values * bins).astype(np.int64)
+    # the quotient load_embedding computes, compared bit for bit
+    exact = (codes / bins).view(np.int64) == values.view(np.int64)
+    if not exact.all():
+        bad = values[np.argmin(exact)]
+        raise ValueError(f"value {bad!r} is not a multiple of 1/{bins}: a 16-bit "
+                         f"embedding holds only quantized values")
+    return codes
+
+
 def save_embedding(e: Embedding, out_dir) -> None:
     """Write the embedding triple: matrix + feature map + config snapshot.
 
-    Values are written as the shortest decimal text that reads back to the
-    same float64 (``mmwrite(..., precision=None)``), so load_embedding
-    returns the matrix bit for bit.
+    A 16-bit (quantized) embedding is written as its integer bin codes
+    ``K = rint(v * bins)``, ``bins`` taken from ``e.config``, in a Matrix
+    Market ``integer`` file; a 32-bit one as the shortest decimal text that
+    reads back to the same float64 (``mmwrite(..., precision=None)``).
+    Either way load_embedding returns the matrix bit for bit.
 
-    Raises ValueError, before writing anything, when ``e.ind`` does not name
-    one pivot node per column: load_embedding would reject such a triple.
+    Raises ValueError, before writing anything, for a triple load_embedding
+    would reject or could not return exactly: ``e.ind`` not naming one pivot
+    node per column, ``value_bits`` other than 16 or 32, or a 16-bit
+    embedding without ``config["bins"]`` (an int >= 2) or with a value that
+    is not ``K / bins`` for an integer ``K``.
     """
     if len(e.ind) != e.num_columns:
         raise ValueError(f"feature map names {len(e.ind)} columns, the matrix "
                          f"has {e.num_columns}: only pivot-column embeddings "
                          f"can be saved")
+    m = e.matrix.tocsr()
+    if e.value_bits == 16:
+        bins = _valid_bins(e.config)
+        if bins is None:
+            raise ValueError("a 16-bit embedding needs config['bins'], an int "
+                             ">= 2, to be saved as bin codes")
+        m = sp.csr_matrix((_bin_codes(m.data, bins), m.indices, m.indptr),
+                          shape=m.shape)
+    elif e.value_bits != 32:
+        raise ValueError(f"value_bits must be 16 or 32, got {e.value_bits!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    mmwrite(out / MATRIX_FILE, e.matrix.tocoo(), precision=None)
+    mmwrite(out / MATRIX_FILE, m.tocoo(), precision=None)
     with open(out / FEATURE_MAP_FILE, "w", encoding="utf-8") as fh:
         for j, node in enumerate(e.ind):
             fh.write(f"{j}\t{int(node)}\n")
@@ -342,7 +395,17 @@ def save_embedding(e: Embedding, out_dir) -> None:
 
 
 def load_embedding(in_dir) -> Embedding:
-    """Read back an embedding triple written by save_embedding."""
+    """Read back an embedding triple written by save_embedding.
+
+    A 16-bit embedding's matrix holds integer bin codes ``K``; each value
+    is ``K / bins``, with ``bins`` from the config snapshot in
+    ``config.json``.  A 32-bit embedding's values are read as written.
+
+    Raises EmbeddingFormatError for another format version (re-run
+    ``symbed embed`` to rewrite older files), a malformed ``config.json``
+    (naming the key), an unreadable matrix or feature map, or a 16-bit
+    matrix whose field is not ``integer``.
+    """
     src = Path(in_dir)
     cfg_path = src / CONFIG_FILE
     if not cfg_path.exists():
@@ -357,20 +420,45 @@ def load_embedding(in_dir) -> Embedding:
     if meta.get("format_version") != FORMAT_VERSION:
         raise EmbeddingFormatError(
             f"{cfg_path}: format version {meta.get('format_version')!r} "
-            f"unsupported (expected {FORMAT_VERSION})")
+            f"unsupported (expected {FORMAT_VERSION}); re-run `symbed embed` "
+            f"to write the embedding again")
     for key in ("shape", "value_bits", "config"):
         if key not in meta:
             raise EmbeddingFormatError(f"{cfg_path}: missing key {key!r}")
+    shape, value_bits, config = meta["shape"], meta["value_bits"], meta["config"]
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(_is_int(x) and x >= 0 for x in shape)):
+        raise EmbeddingFormatError(
+            f"{cfg_path}: key 'shape' must be two non-negative integers, got {shape!r}")
+    if not (_is_int(value_bits) and value_bits in (16, 32)):
+        raise EmbeddingFormatError(
+            f"{cfg_path}: key 'value_bits' must be 16 or 32, got {value_bits!r}")
+    if not isinstance(config, dict):
+        raise EmbeddingFormatError(
+            f"{cfg_path}: key 'config' must be a JSON object, got {config!r}")
+    bins = _valid_bins(config)
+    if value_bits == 16 and bins is None:
+        raise EmbeddingFormatError(
+            f"{cfg_path}: key 'config.bins' must be an integer >= 2 for 16-bit "
+            f"values, got {config.get('bins')!r}")
     try:
         mat = mmread(src / MATRIX_FILE).tocsr()
     except Exception as exc:
         raise EmbeddingFormatError(f"{src / MATRIX_FILE}: {exc}") from None
-    if list(meta["shape"]) != list(mat.shape):
+    if shape != list(mat.shape):
         raise EmbeddingFormatError(
-            f"matrix shape {mat.shape} does not match recorded {meta['shape']}")
+            f"matrix shape {mat.shape} does not match recorded {shape}")
+    if value_bits == 16:
+        # mmwrite heads a matrix with no entries 'real' whatever its dtype
+        if mat.nnz and mat.dtype.kind != "i":
+            raise EmbeddingFormatError(
+                f"{src / MATRIX_FILE}: 16-bit values are stored as bin codes in "
+                f"an 'integer' field, this file reads as {mat.dtype}")
+        mat = sp.csr_matrix((mat.data / bins, mat.indices, mat.indptr),
+                            shape=mat.shape)
     ind = _read_feature_map(src / FEATURE_MAP_FILE, *mat.shape)
     return Embedding(matrix=mat, ind=np.asarray(ind, dtype=np.int64),
-                     config=meta["config"], value_bits=int(meta["value_bits"]))
+                     config=config, value_bits=value_bits)
 
 
 def _read_feature_map(path: Path, num_rows: int, num_columns: int) -> list[int]:

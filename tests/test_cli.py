@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from symbed.cli import main
-from symbed.graph import write_edge_list
+from symbed.embedding import EmbeddingConfig, embed_sdf
+from symbed.evaluation import ProtocolConfig, run_protocol
+from symbed.graph import load_edge_list, load_labels, write_edge_list
 from symbed.synth import planted_partition
+from symbed.walks import WalkConfig
 
 
 @pytest.fixture
@@ -95,15 +98,19 @@ class TestEmbed:
 
     def test_byte_identical_across_runs_and_workers(self, dataset, tmp_path):
         edges, _ = dataset
-        blobs = []
-        for name, workers in (("a", 1), ("b", 1), ("c", 3)):
-            out = tmp_path / name
-            assert run(["embed", "--edges", edges, "--out", out, "--seed", 5,
-                        "--num-walks", 32, "--dim", 16, "--workers", workers]) == 0
-            blobs.append(tuple((out / f).read_bytes()
-                               for f in ("embedding.mtx", "feature_map.tsv",
-                                         "config.json")))
-        assert blobs[0] == blobs[1] == blobs[2]
+        for mode in ([], ["--sdf", "--budget-dim", 4]):
+            blobs = []
+            for workers in (1, 1, 3):
+                out = tmp_path / f"{len(mode)}-{len(blobs)}"
+                assert run(["embed", "--edges", edges, "--out", out, "--seed", 5,
+                            "--num-walks", 32, "--dim", 16, "--workers", workers,
+                            *mode]) == 0
+                blobs.append(tuple((out / f).read_bytes()
+                                   for f in ("embedding.mtx", "feature_map.tsv",
+                                             "config.json")))
+            assert blobs[0] == blobs[1] == blobs[2]
+            field = b"integer" if mode else b"real"
+            assert blobs[0][0].startswith(b"%%MatrixMarket matrix coordinate " + field)
 
     def test_dump_hashes(self, dataset, tmp_path):
         edges, _ = dataset
@@ -114,11 +121,28 @@ class TestEmbed:
 
 
 class TestEval:
-    def _embed(self, edges, tmp_path):
+    def _embed(self, edges, tmp_path, *flags):
         out = tmp_path / "emb"
         assert run(["embed", "--edges", edges, "--out", out,
-                    "--num-walks", 32, "--dim", 20]) == 0
+                    "--num-walks", 32, "--dim", 20, *flags]) == 0
         return out
+
+    def test_sdf_report_matches_in_memory_embedding(self, dataset, tmp_path):
+        edges, labels = dataset
+        emb = self._embed(edges, tmp_path, "--sdf", "--budget-dim", 4)
+        out = tmp_path / "report"
+        assert run(["eval", emb, "--labels", labels, "--out", out,
+                    "--fractions", "0.3,0.6", "--shuffles", 2, "--reps", 1]) == 0
+        g = load_edge_list(edges)
+        cfg = EmbeddingConfig(mode="sdf", d=20, budget_dim=4,
+                              walk=WalkConfig(length_probs=np.full(5, 0.2),
+                                              num_walks=32))
+        in_memory = embed_sdf(g, cfg)
+        assert json.loads((emb / "config.json").read_text())["value_bits"] == 16
+        expected = run_protocol(in_memory, load_labels(labels, g.num_nodes),
+                                ProtocolConfig(train_fractions=(0.3, 0.6),
+                                               shuffles=2, repetitions=1))
+        assert (out / "report.json").read_text() == expected.to_json() + "\n"
 
     def test_eval_reports(self, dataset, tmp_path, capsys):
         edges, labels = dataset
@@ -182,6 +206,39 @@ class TestEval:
         (emb / "config.json").write_text(text)
         assert run(["eval", emb, "--labels", labels, "--out", tmp_path / "x",
                     "--fractions", "0.5", "--shuffles", 1, "--reps", 1]) == 2
+
+    @pytest.mark.parametrize("flags,key,value", [
+        ((), "shape", 5),
+        ((), "value_bits", "x"),
+        (("--sdf", "--budget-dim", 4), "bins", 1),
+        (("--sdf", "--budget-dim", 4), "bins", "256"),
+    ])
+    def test_mistyped_config_is_data_error(self, dataset, tmp_path, capsys,
+                                           flags, key, value):
+        edges, labels = dataset
+        emb = self._embed(edges, tmp_path, *flags)
+        cfg_file = emb / "config.json"
+        meta = json.loads(cfg_file.read_text())
+        (meta["config"] if key == "bins" else meta)[key] = value
+        cfg_file.write_text(json.dumps(meta))
+        assert run(["eval", emb, "--labels", labels, "--out", tmp_path / "x",
+                    "--fractions", "0.5", "--shuffles", 1, "--reps", 1]) == 2
+        err = capsys.readouterr().err
+        assert "config.json: key '" in err and key in err
+        assert "Traceback" not in err
+
+    def test_16_bit_real_matrix_is_data_error(self, dataset, tmp_path, capsys):
+        edges, labels = dataset
+        emb = self._embed(edges, tmp_path)
+        cfg_file = emb / "config.json"
+        meta = json.loads(cfg_file.read_text())
+        meta["value_bits"], meta["config"]["bins"] = 16, 256
+        cfg_file.write_text(json.dumps(meta))
+        assert run(["eval", emb, "--labels", labels, "--out", tmp_path / "x",
+                    "--fractions", "0.5", "--shuffles", 1, "--reps", 1]) == 2
+        err = capsys.readouterr().err
+        assert "embedding.mtx" in err and "'integer' field" in err
+        assert "Traceback" not in err
 
     def test_absurd_class_id_is_data_error(self, dataset, tmp_path, capsys):
         edges, labels = dataset

@@ -302,13 +302,86 @@ class TestPersistence:
         emb = embed_sdf(g, small_cfg("sdf", budget_dim=3))
         save_embedding(emb, tmp_path / "emb")
         back = load_embedding(tmp_path / "emb")
-        np.testing.assert_array_equal(back.matrix.toarray(), emb.matrix.toarray())
+        np.testing.assert_array_equal(back.matrix.indptr, emb.matrix.indptr)
+        np.testing.assert_array_equal(back.matrix.indices, emb.matrix.indices)
+        assert back.matrix.data.tobytes() == emb.matrix.data.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), bins=st.sampled_from([2, 3, 7, 255, 256, 1000]),
+           rows=st.integers(1, 9), cols=st.integers(1, 9))
+    def test_bin_codes_round_trip_exactly(self, data, bins, rows, cols):
+        # codes up to 4 * bins: distance metrics give values above 1
+        cells = data.draw(st.lists(st.integers(0, rows * cols - 1), unique=True,
+                                   max_size=rows * cols))
+        codes = data.draw(st.lists(st.integers(1, 4 * bins), min_size=len(cells),
+                                   max_size=len(cells)))
+        cells = np.array(cells, dtype=np.int64)
+        m = sp.csr_matrix((np.array(codes, dtype=np.int64) / bins,
+                           (cells // cols, cells % cols)), shape=(rows, cols))
+        emb = Embedding(matrix=m, ind=np.arange(cols) % rows,
+                        config={"bins": bins}, value_bits=16)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_embedding(emb, tmp)
+            back = load_embedding(tmp).matrix
+        assert back.indptr.tobytes() == m.indptr.tobytes()
+        assert back.indices.tobytes() == m.indices.tobytes()
+        assert back.data.tobytes() == m.data.tobytes()
 
     def test_matrix_market_header(self, tmp_path):
         g = random_graph(20, 4, seed=1)
         save_embedding(embed_fixed(g, small_cfg(d=5)), tmp_path / "e")
         head = (tmp_path / "e" / "embedding.mtx").read_text().splitlines()[0]
         assert head.startswith("%%MatrixMarket matrix coordinate real general")
+
+    def test_quantized_matrix_market_header(self, tmp_path):
+        g = random_graph(35, 4, seed=6)
+        emb = embed_sdf(g, small_cfg("sdf", budget_dim=3))
+        save_embedding(emb, tmp_path / "e")
+        lines = (tmp_path / "e" / "embedding.mtx").read_text().splitlines()
+        assert lines[0] == "%%MatrixMarket matrix coordinate integer general"
+        codes = sorted(int(line.split()[2]) for line in lines[3:])
+        assert codes == sorted(np.rint(emb.matrix.data * 256).astype(int).tolist())
+
+    def test_version_1_directory_refused(self, tmp_path):
+        g = random_graph(20, 4, seed=1)
+        save_embedding(embed_fixed(g, small_cfg(d=3)), tmp_path / "e")
+        cfg_file = tmp_path / "e" / "config.json"
+        meta = json.loads(cfg_file.read_text())
+        meta["format_version"] = 1
+        cfg_file.write_text(json.dumps(meta))
+        with pytest.raises(EmbeddingFormatError,
+                           match=r"format version 1 unsupported.*re-run `symbed embed`"):
+            load_embedding(tmp_path / "e")
+
+    @pytest.mark.parametrize("config,values", [
+        ({}, [0.5]),
+        ({"bins": 1}, [0.5]),
+        ({"bins": "256"}, [0.5]),
+        ({"bins": True}, [0.5]),
+        ({"bins": 256}, [0.5, 0.3]),
+        ({"bins": 256}, [0.5, float("nan")]),
+        ({"bins": 256}, [float("inf")]),
+        ({"bins": 256}, [-0.0]),
+        ({"bins": 256}, [1e300]),
+    ])
+    def test_unquantized_16_bit_save_writes_nothing(self, tmp_path, config, values):
+        m = sp.csr_matrix((np.array(values), (np.arange(len(values)),
+                                              np.zeros(len(values), dtype=int))),
+                          shape=(len(values), 1))
+        emb = Embedding(matrix=m, ind=np.zeros(1, dtype=int), config=config,
+                        value_bits=16)
+        out = tmp_path / "e"
+        out.mkdir()
+        with pytest.raises(ValueError):
+            save_embedding(emb, out)
+        assert list(out.iterdir()) == []
+
+    def test_other_value_bits_not_saved(self, tmp_path):
+        emb = Embedding(matrix=sp.csr_matrix(np.eye(2)), ind=np.arange(2),
+                        config={}, value_bits=8)
+        with pytest.raises(ValueError, match="value_bits must be 16 or 32"):
+            save_embedding(emb, tmp_path / "e")
+        assert not (tmp_path / "e").exists()
 
     def test_feature_map_line_count(self, tmp_path):
         g = random_graph(20, 4, seed=1)
@@ -361,6 +434,43 @@ class TestPersistence:
         del meta[key]
         cfg_file.write_text(json.dumps(meta))
         with pytest.raises(EmbeddingFormatError, match=f"config.json: missing key '{key}'"):
+            load_embedding(tmp_path / "e")
+
+    @pytest.mark.parametrize("key,value", [
+        ("shape", 5), ("shape", [20]), ("shape", [20, -1]), ("shape", [20.0, 10]),
+        ("shape", "20x10"), ("value_bits", "x"), ("value_bits", 8),
+        ("value_bits", 16.0), ("config", [1]),
+    ])
+    def test_malformed_config_value_rejected(self, tmp_path, key, value):
+        cfg_file = self._saved(tmp_path) / "config.json"
+        meta = json.loads(cfg_file.read_text())
+        meta[key] = value
+        cfg_file.write_text(json.dumps(meta))
+        with pytest.raises(EmbeddingFormatError, match=f"config.json: key '{key}' must be"):
+            load_embedding(tmp_path / "e")
+
+    @pytest.mark.parametrize("bins", [None, 1, 0, "256", 256.0, True])
+    def test_16_bit_without_valid_bins_rejected(self, tmp_path, bins):
+        g = random_graph(35, 4, seed=6)
+        save_embedding(embed_sdf(g, small_cfg("sdf", budget_dim=3)), tmp_path / "e")
+        cfg_file = tmp_path / "e" / "config.json"
+        meta = json.loads(cfg_file.read_text())
+        if bins is None:
+            del meta["config"]["bins"]
+        else:
+            meta["config"]["bins"] = bins
+        cfg_file.write_text(json.dumps(meta))
+        with pytest.raises(EmbeddingFormatError,
+                           match="config.json: key 'config.bins' must be an integer >= 2"):
+            load_embedding(tmp_path / "e")
+
+    def test_16_bit_real_field_rejected(self, tmp_path):
+        cfg_file = self._saved(tmp_path) / "config.json"
+        meta = json.loads(cfg_file.read_text())
+        meta["value_bits"] = 16
+        meta["config"]["bins"] = 256
+        cfg_file.write_text(json.dumps(meta))
+        with pytest.raises(EmbeddingFormatError, match="embedding.mtx: .*'integer' field"):
             load_embedding(tmp_path / "e")
 
     def test_non_object_config_rejected(self, tmp_path):
