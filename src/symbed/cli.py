@@ -14,14 +14,14 @@ from pathlib import Path
 import numpy as np
 
 from . import reference
-from .embedding import (EmbeddingConfig, EmbeddingFormatError,
+from .embedding import (EmbeddingConfig, EmbeddingFormatError, _embed,
                         embed_fixed, embed_sdf, load_embedding, save_embedding)
 from .evaluation import (ProtocolConfig, ProtocolError,
                          random_embedding, run_protocol, run_protocol_lp)
 from .graph import (GraphFormatError, LabelError, dataset_stats,
                     load_edge_list, load_labels)
 from .ranking import PageRankConfig, pagerank, rank_nodes
-from .walks import WalkConfig, dump_hashes, hash_all
+from .walks import WalkConfig, dump_hashes
 
 _DATA_ERRORS = (GraphFormatError, LabelError, EmbeddingFormatError,
                 ProtocolError, FileNotFoundError, IsADirectoryError)
@@ -132,13 +132,11 @@ def cmd_embed(args) -> int:
     g = _load_graph(args)
     cfg = _embedding_config(args)
     timings: dict = {}
-    if cfg.mode == "sdf":
-        emb = embed_sdf(g, cfg, workers=args.workers, timings=timings)
-    else:
-        emb = embed_fixed(g, cfg, workers=args.workers, timings=timings)
-    save_embedding(emb, args.out)
+    emb, hashes = _embed(g, cfg, args.workers, timings)
     if args.dump_hashes:
-        dump_hashes(hash_all(g, cfg.walk, workers=args.workers), args.dump_hashes)
+        dump_hashes(hashes, args.dump_hashes)
+    del hashes
+    save_embedding(emb, args.out)
     _print_timings(timings)
     print(f"embedding: {emb.num_nodes} x {emb.num_columns}, "
           f"{emb.nnz} stored values ({emb.value_bits}-bit)")

@@ -248,9 +248,15 @@ def _check_mode(cfg: EmbeddingConfig, mode: str) -> None:
 
 
 def _embed(g: Graph, cfg: EmbeddingConfig, workers: int,
-           timings: dict | None) -> Embedding:
+           timings: dict | None) -> tuple[Embedding, sp.csr_matrix]:
     """The column path: ranked pivot columns, scored and quantized a chunk at
-    a time, until the rule of ``cfg.mode`` stops it."""
+    a time, until the rule of ``cfg.mode`` stops it.
+
+    Returns the embedding and the hash matrix it was built from, which
+    ``symbed embed --dump-hashes`` writes without hashing the graph again.
+    """
+    if cfg.mode == "fixed" and cfg.d > g.num_nodes:
+        raise ValueError(f"d={cfg.d} exceeds the number of nodes {g.num_nodes}")
     h, order = _hash_and_rank(g, cfg, workers, timings)
     t0 = time.perf_counter()
     prepared = _prepare_metric(h, cfg.metric)
@@ -286,7 +292,7 @@ def _embed(g: Graph, cfg: EmbeddingConfig, workers: int,
         timings["similarity"] = time.perf_counter() - t0
     return Embedding(matrix=m, ind=np.asarray(order[:used], dtype=np.int64),
                      config=_config_snapshot(cfg),
-                     value_bits=16 if bins >= 2 else 32)
+                     value_bits=16 if bins >= 2 else 32), h
 
 
 def embed_fixed(g: Graph, cfg: EmbeddingConfig | None = None, *,
@@ -294,9 +300,7 @@ def embed_fixed(g: Graph, cfg: EmbeddingConfig | None = None, *,
     """Embedding with the top-d ranked nodes as columns."""
     cfg = cfg or EmbeddingConfig()
     _check_mode(cfg, "fixed")
-    if cfg.d > g.num_nodes:
-        raise ValueError(f"d={cfg.d} exceeds the number of nodes {g.num_nodes}")
-    return _embed(g, cfg, workers, timings)
+    return _embed(g, cfg, workers, timings)[0]
 
 
 def embed_sdf(g: Graph, cfg: EmbeddingConfig | None = None, *,
@@ -316,7 +320,7 @@ def embed_sdf(g: Graph, cfg: EmbeddingConfig | None = None, *,
     """
     cfg = cfg or EmbeddingConfig(mode="sdf")
     _check_mode(cfg, "sdf")
-    return _embed(g, cfg, workers, timings)
+    return _embed(g, cfg, workers, timings)[0]
 
 
 def _is_int(x) -> bool:
@@ -379,7 +383,9 @@ def save_embedding(e: Embedding, out_dir) -> None:
         raise ValueError(f"value_bits must be 16 or 32, got {e.value_bits!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    mmwrite(out / MATRIX_FILE, m.tocoo(), precision=None)
+    # "general" lists every entry: left to scipy, a small symmetric matrix
+    # would be written as its lower triangle
+    mmwrite(out / MATRIX_FILE, m.tocoo(), precision=None, symmetry="general")
     with open(out / FEATURE_MAP_FILE, "w", encoding="utf-8") as fh:
         for j, node in enumerate(e.ind):
             fh.write(f"{j}\t{int(node)}\n")

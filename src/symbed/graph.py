@@ -298,14 +298,17 @@ class DatasetStats:
     edges: int       # undirected edge count when the graph is undirected
     components: int
     classes: int
+    dead_ends: int   # nodes without out-arcs, where a random walk stops early
 
     def to_json(self) -> str:
         return json.dumps({"nodes": self.nodes, "edges": self.edges,
-                           "components": self.components, "classes": self.classes})
+                           "components": self.components, "classes": self.classes,
+                           "dead_ends": self.dead_ends})
 
 
 def dataset_stats(g: Graph, labels: LabelTable | None = None) -> DatasetStats:
     edges = g.num_edges if g.directed else g.num_edges // 2
     return DatasetStats(nodes=g.num_nodes, edges=edges,
                         components=connected_components(g),
-                        classes=labels.num_classes if labels is not None else 0)
+                        classes=labels.num_classes if labels is not None else 0,
+                        dead_ends=int(np.count_nonzero(g.out_degrees == 0)))

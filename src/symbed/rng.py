@@ -24,13 +24,13 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53_INV = float(2.0**-53)
 
 
-def _mix64_inplace(x: np.ndarray) -> np.ndarray:
+def _mix64_inplace(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """SplitMix64 finalizer: avalanche the uint64 array x in place, with one
-    scratch array.
+    scratch array of x's shape (allocated when not given).
 
     uint64 arithmetic wraps modulo 2**64 by design.
     """
-    shifted = np.empty_like(x)
+    shifted = np.empty_like(x) if scratch is None else scratch
     with np.errstate(over="ignore"):
         for shift, mult in ((30, _MIX1), (27, _MIX2)):
             x ^= np.right_shift(x, np.uint64(shift), out=shifted)
@@ -47,26 +47,29 @@ def stream_key(seed: int, node) -> np.ndarray:
     return _mix64_inplace(np.asarray(key))
 
 
-def skip_ahead(key, index):
+def skip_ahead(key, index, out=None):
     """Key of the stream(s) that begin at the index-th draw of `key`.
 
     ``uniform_at(skip_ahead(k, i), j) == uniform_at(k, i + j)``: the counter
     enters the mix only through ``key + _GOLDEN * (index + 1)``, which wraps
-    modulo 2**64, so moving a stream's origin is one add.
+    modulo 2**64, so moving a stream's origin is one add (into `out`, a
+    uint64 array of the broadcast shape, when given).
     """
     key = np.asarray(key, dtype=np.uint64)
     index = np.asarray(index, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return key + _GOLDEN * index
+        return np.add(key, _GOLDEN * index, out=out)
 
 
-def uniform_at(key, index):
+def uniform_at(key, index, *, out=None, bits=None, scratch=None):
     """The index-th uniform in [0, 1) of the stream(s) with the given key(s).
 
-    Pure function of (key, index); broadcasting applies.
+    Pure function of (key, index); broadcasting applies.  `out` (float64)
+    and `bits`, `scratch` (uint64) are optional buffers of the broadcast
+    shape; given all three, a draw allocates no array of that shape.
     """
-    bits = np.asarray(skip_ahead(key, np.asarray(index, dtype=np.uint64) + np.uint64(1)))
-    _mix64_inplace(bits)
+    bits = np.asarray(skip_ahead(key, np.asarray(index, dtype=np.uint64) + np.uint64(1),
+                                 out=bits))
+    _mix64_inplace(bits, scratch)
     bits >>= np.uint64(11)
-    return bits * _U53_INV
-
+    return np.multiply(bits, _U53_INV, out=out)

@@ -3,12 +3,15 @@ import json
 import numpy as np
 import pytest
 
+import symbed.cli
+import symbed.embedding
+import symbed.walks
 from symbed.cli import main
 from symbed.embedding import EmbeddingConfig, embed_sdf
 from symbed.evaluation import ProtocolConfig, run_protocol
 from symbed.graph import load_edge_list, load_labels, write_edge_list
 from symbed.synth import planted_partition
-from symbed.walks import WalkConfig
+from symbed.walks import WalkConfig, dump_hashes, hash_all
 
 
 @pytest.fixture
@@ -33,6 +36,14 @@ class TestStats:
         assert run(["stats", "--edges", edges, "--labels", labels]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["nodes"] == 70 and out["classes"] == 3
+
+    def test_reports_dead_ends(self, tmp_path, capsys):
+        edges = tmp_path / "path.tsv"
+        edges.write_text("0\t1\n1\t2\n")
+        assert run(["stats", "--edges", edges, "--directed"]) == 0
+        assert json.loads(capsys.readouterr().out)["dead_ends"] == 1
+        assert run(["stats", "--edges", edges]) == 0
+        assert json.loads(capsys.readouterr().out)["dead_ends"] == 0
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run(["stats", "--edges", tmp_path / "nope.tsv"]) == 2
@@ -118,6 +129,28 @@ class TestEmbed:
         assert run(["embed", "--edges", edges, "--out", tmp_path / "e",
                     "--num-walks", 16, "--dim", 8, "--dump-hashes", dump]) == 0
         assert len(dump.read_text().splitlines()) == 70
+
+    @pytest.mark.parametrize("mode", [[], ["--sdf", "--budget-dim", "4"]])
+    def test_dump_hashes_hashes_once(self, dataset, tmp_path, monkeypatch, mode):
+        edges, _ = dataset
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return hash_all(*args, **kwargs)
+
+        for mod in (symbed.cli, symbed.embedding, symbed.walks):
+            monkeypatch.setattr(mod, "hash_all", counted, raising=False)
+        dump = tmp_path / "hashes.tsv"
+        assert run(["embed", "--edges", edges, "--out", tmp_path / "e", "--seed", 3,
+                    "--num-walks", 16, "--dim", 8, "--workers", 2,
+                    "--dump-hashes", dump, *mode]) == 0
+        assert len(calls) == 1
+        want = tmp_path / "want.tsv"
+        dump_hashes(hash_all(load_edge_list(edges),
+                             WalkConfig(length_probs=np.full(5, 0.2), num_walks=16,
+                                        seed=3)), want)
+        assert dump.read_bytes() == want.read_bytes()
 
 
 class TestEval:

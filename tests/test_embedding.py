@@ -342,6 +342,21 @@ class TestPersistence:
         codes = sorted(int(line.split()[2]) for line in lines[3:])
         assert codes == sorted(np.rint(emb.matrix.data * 256).astype(int).tolist())
 
+    @pytest.mark.parametrize("value_bits,field", [(32, "real"), (16, "integer")])
+    def test_symmetric_matrix_written_general(self, tmp_path, value_bits, field):
+        # a small symmetric matrix lists every entry, not its lower triangle
+        m = sp.csr_matrix(np.array([[0.5, 0.25], [0.25, 1.0]]))
+        emb = Embedding(matrix=m, ind=np.arange(2), config={"bins": 256},
+                        value_bits=value_bits)
+        save_embedding(emb, tmp_path / "e")
+        lines = (tmp_path / "e" / "embedding.mtx").read_text().splitlines()
+        assert lines[0] == f"%%MatrixMarket matrix coordinate {field} general"
+        assert lines[2] == "2 2 4"
+        entries = [tuple(line.split()[:2]) for line in lines[3:]]
+        assert entries == [("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")]
+        back = load_embedding(tmp_path / "e").matrix
+        assert back.data.tobytes() == m.data.tobytes()
+
     def test_version_1_directory_refused(self, tmp_path):
         g = random_graph(20, 4, seed=1)
         save_embedding(embed_fixed(g, small_cfg(d=3)), tmp_path / "e")

@@ -1,3 +1,4 @@
+import json
 import tempfile
 from pathlib import Path
 
@@ -261,12 +262,23 @@ class TestDegreesAndComponents:
 class TestStats:
     def test_json_line(self, path3):
         s = dataset_stats(path3)
-        assert s == DatasetStats(nodes=3, edges=2, components=1, classes=0)
+        assert s == DatasetStats(nodes=3, edges=2, components=1, classes=0,
+                                 dead_ends=0)
         assert "\n" not in s.to_json()
 
     def test_directed_edge_count(self):
         g = from_arcs(3, [0, 1], [1, 2], directed=True)
         assert dataset_stats(g).edges == 2
+
+    def test_dead_ends_are_nodes_without_out_arcs(self):
+        # directed path 0 -> 1 -> 2 plus a self-loop on 3: only 2 and the
+        # isolated node 4 have no out-arc
+        g = from_arcs(5, [0, 1, 3], [1, 2, 3], directed=True)
+        assert dataset_stats(g).dead_ends == 2
+        assert json.loads(dataset_stats(g).to_json())["dead_ends"] == 2
+        # undirected (arcs stored both ways), only isolated nodes are dead ends
+        g = from_arcs(4, [0, 1], [1, 0], directed=False)
+        assert dataset_stats(g).dead_ends == 2
 
 
 class TestBenchmarkDatasets:

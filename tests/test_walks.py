@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from symbed.graph import from_arcs
 from symbed.synth import random_graph
-from symbed.walks import (WalkConfig, _hash_block, _weight_cumsum, dump_hashes,
+from symbed.walks import (WalkConfig, _hash_block, _sink_arcs, dump_hashes,
                           hash_all, walk_lengths)
 
 from oracles import CounterStream, hash_node, hash_row, random_walk
@@ -228,6 +228,86 @@ class TestHashAll:
         assert H.shape == (n, n)
 
 
+def dead_end_graph(n, arcs, dead_share, weighted, seed):
+    """Random directed graph whose nodes, with probability dead_share, have
+    no out-arcs; the last node always has none.  Weighted graphs give about
+    a third of their arcs weight 0."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, n, arcs)
+    dst = rng.integers(0, n, arcs)
+    dead = rng.random(n) < dead_share
+    dead[-1] = True
+    src, dst = src[~dead[src]], dst[~dead[src]]
+    w = rng.choice([0.0, 0.5, 2.0], size=len(src)) if weighted else None
+    return from_arcs(n, src, dst, w, directed=True)
+
+
+def assert_rows_match_reference(H, g, cfg, rows):
+    for i in rows:
+        ref, got = hash_node(g, i, cfg), hash_row(H, i)
+        assert np.array_equal(ref.indices, got.indices), f"node {i}"
+        assert np.array_equal(ref.values, got.values), f"node {i}"
+
+
+class TestSinkNode:
+    """Walks cut short by a dead end step on into a sink node whose visits
+    are never counted; every row still equals the per-node reference."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("graph", ["path", "random"])
+    def test_last_node_dead_end(self, graph, weighted):
+        # the last node's sink arc goes after every arc of the graph
+        if graph == "path":
+            w = [1.0, 0.5, 2.0, 1.0] if weighted else None
+            g = from_arcs(5, [0, 1, 2, 3], [1, 2, 3, 4], w, directed=True)
+        else:
+            g = dead_end_graph(40, 160, 0.0, weighted, seed=2)
+        assert g.out_degrees[-1] == 0
+        cfg = WalkConfig(num_walks=40, epsilon=0.01, seed=4, weighted=weighted)
+        H = hash_all(g, cfg)
+        assert_rows_match_reference(H, g, cfg, range(g.num_nodes))
+        assert H.shape == (g.num_nodes, g.num_nodes)
+        assert hash_row(H, g.num_nodes - 1).to_dict() == {g.num_nodes - 1: 1.0}
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_many_dead_ends_and_zero_weights(self, weighted):
+        g = dead_end_graph(60, 240, 0.6, weighted, seed=5)
+        if weighted:
+            assert (g.weights == 0).any()
+        cfg = WalkConfig(num_walks=48, epsilon=0.005, seed=6, weighted=weighted)
+        assert_rows_match_reference(hash_all(g, cfg), g, cfg, range(g.num_nodes))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_worker_counts_with_dead_ends(self, weighted):
+        # 600 walks of up to 5 steps make blocks of 166 nodes: 3 blocks
+        g = dead_end_graph(400, 1600, 0.3, weighted, seed=7)
+        cfg = WalkConfig(num_walks=600, epsilon=0.005, seed=8, weighted=weighted)
+        base = hash_all(g, cfg, workers=1)
+        for workers in (2, 5):
+            other = hash_all(g, cfg, workers=workers)
+            assert np.array_equal(base.indptr, other.indptr)
+            assert np.array_equal(base.indices, other.indices)
+            assert np.array_equal(base.data, other.data)
+        assert_rows_match_reference(base, g, cfg, [0, 1, 165, 166, 331, 332, 399])
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_both_key_widths(self, weighted):
+        # one block of every node packs its keys in int64; hash_all's blocks
+        # of 4096 nodes pack theirs in int32
+        n = 50_000
+        int32_max = np.iinfo(np.int32).max
+        assert n * (n + 1) > int32_max >= 4096 * (n + 1)
+        g = dead_end_graph(n, 4 * n, 0.2, weighted, seed=9)
+        cfg = WalkConfig(length_probs=np.array([0.5, 0.5]), num_walks=1,
+                         epsilon=0.2, seed=10, weighted=weighted)
+        H = hash_all(g, cfg)
+        wide = _hash_block(_sink_arcs(g, weighted), np.arange(n), walk_lengths(cfg), cfg)
+        assert np.array_equal(wide.indptr, H.indptr)
+        assert np.array_equal(wide.indices, H.indices)
+        assert np.array_equal(wide.data, H.data)
+        assert_rows_match_reference(H, g, cfg, [0, 1, 4095, 4096, n - 2, n - 1])
+
+
 @st.composite
 def walk_graphs(draw):
     """Small directed multigraphs with self-loops, parallel arcs and dead
@@ -265,8 +345,8 @@ class TestSortedCounting:
         cuts = data.draw(st.sets(st.integers(1, g.num_nodes - 1))
                          if g.num_nodes > 1 else st.just(set()))
         bounds = [0, *sorted(cuts), g.num_nodes]
-        wcum = _weight_cumsum(g) if cfg.weighted else None
-        parts = [_hash_block(g, np.arange(lo, hi), walk_lengths(cfg), cfg, wcum)
+        arcs = _sink_arcs(g, cfg.weighted)
+        parts = [_hash_block(arcs, np.arange(lo, hi), walk_lengths(cfg), cfg)
                  for lo, hi in zip(bounds, bounds[1:])]
         S = sp.vstack(parts, format="csr")
         assert np.array_equal(S.indptr, H.indptr)
@@ -331,6 +411,39 @@ class TestExpectedVisits:
                          weighted=weighted)
         err = np.abs(hash_all(g, cfg).toarray() - expected_hash(g, cfg)).max()
         assert err < 2 / np.sqrt(num_walks)
+
+
+class TestPrunedExpectedVisits:
+    """With epsilon > 0, hash_all keeps what the exact expectation keeps.
+
+    Each empirical frequency lies within 2/sqrt(num_walks) of its exact
+    expectation (TestExpectedVisits), so a node expected above epsilon by
+    more than that margin must be kept, one expected below it by more than
+    the margin must be dropped, and the kept values are the expectations
+    renormalized over the kept nodes, within the same margin.
+    """
+
+    @pytest.mark.parametrize("num_walks", [1024, 4096])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("dead_ends", [False, True])
+    def test_keeps_and_drops_by_expectation(self, dead_ends, weighted, seed,
+                                            num_walks):
+        eps = 0.08
+        g = TestExpectedVisits.graph(dead_ends, weighted)
+        cfg = WalkConfig(num_walks=num_walks, epsilon=eps, seed=seed,
+                         weighted=weighted)
+        H = hash_all(g, cfg).toarray()
+        p = expected_hash(g, cfg)
+        margin = 2 / np.sqrt(num_walks)
+        above, below = p > eps + margin, p < eps - margin
+        # neither side is vacuous: some visited nodes are expected to drop
+        assert above.any() and (below & (p > 0)).any()
+        assert (H[above] > 0).all()
+        assert (H[below] == 0).all()
+        kept = H > 0
+        renormalized = p * kept / (p * kept).sum(axis=1, keepdims=True)
+        assert np.abs(H - renormalized).max() < margin
 
 
 class TestDump:
