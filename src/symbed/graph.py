@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import io
 import json
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -12,6 +12,11 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components as _weak_components
+
+
+# The most nodes whose packed arc keys src * num_nodes + dst fit in int64.
+_MAX_NODES = math.isqrt(2**63 - 1)
+_MAX_NODE_ID = _MAX_NODES - 1
 
 
 class GraphFormatError(ValueError):
@@ -80,29 +85,45 @@ class Graph:
 
 
 def from_arcs(num_nodes, src, dst, weights=None, directed=True) -> Graph:
-    """Build a Graph from parallel arc arrays, sorting them into CSR order."""
+    """Build a Graph from parallel arc arrays, sorting them into CSR order.
+
+    Arcs are put in order by one sort of the packed int64 keys
+    ``src * num_nodes + dst``, so ``num_nodes`` may be at most
+    ``isqrt(2**63 - 1)`` (3,037,000,499); a larger count, or a source or
+    target id outside ``0..num_nodes - 1``, raises ``ValueError`` before any
+    key is packed.  Unweighted keys are sorted in place, since parallel arcs
+    cannot be told apart; weighted ones by a stable argsort, so parallel arcs
+    keep their weights in input order.
+    """
+    if num_nodes > _MAX_NODES:
+        raise ValueError(f"num_nodes {num_nodes} exceeds {_MAX_NODES}, the most "
+                         f"whose packed src * num_nodes + dst arc keys fit in int64")
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
-    if len(src) and (src.min() < 0 or src.max() >= num_nodes):
-        raise ValueError("source node id out of range")
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    for ids, end in ((src, "source"), (dst, "target")):
+        if len(ids) and (ids.min() < 0 or ids.max() >= num_nodes):
+            raise ValueError(f"{end} node id out of range")
+    key = src * num_nodes
+    key += dst
     w = None
-    if weights is not None:
+    if weights is None:
+        key.sort()
+    else:
+        order = np.argsort(key, kind="stable")
+        key = key[order]
         w = np.asarray(weights, dtype=np.float64)[order]
+    src, dst = np.divmod(key, num_nodes)
     offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.add.at(offsets, src + 1, 1)
-    np.cumsum(offsets, out=offsets)
+    np.cumsum(np.bincount(src, minlength=num_nodes), out=offsets[1:])
     return Graph(num_nodes=num_nodes, offsets=offsets, targets=dst, weights=w,
                  directed=directed)
 
 
-# The unweighted form write_edge_list emits: ASCII-digit ``src<TAB>dst``
-# lines, each ending in a newline.  The possessive quantifiers accept the same
-# files as plain ones without keeping backtracking state.
-_CANONICAL_EDGES = re.compile(rb"(?:[0-9]++\t[0-9]++\n)*+")
-
-_MAX_NODE_ID = np.iinfo(np.int64).max  # node ids are stored as int64
+# The unweighted form write_edge_list emits: ``src<TAB>dst`` lines of at most
+# 18 ASCII digits each (below 2**63, so int64 parsing cannot saturate), each
+# ending in a newline.  The possessive quantifiers accept the same files as
+# plain ones without keeping backtracking state.
+_CANONICAL_EDGES = re.compile(rb"(?:[0-9]{1,18}+\t[0-9]{1,18}+\n)*+")
 
 
 def load_edge_list(path, directed: bool = False) -> Graph:
@@ -113,24 +134,22 @@ def load_edge_list(path, directed: bool = False) -> Graph:
     input every line produces both arcs.  Duplicate lines become parallel
     arcs and self-loops are preserved.
 
-    A nonempty file of canonical unweighted lines is parsed in one
-    ``np.loadtxt`` call; every other file, and any file ``loadtxt`` rejects,
-    goes through the line-by-line parser, which owns all error reporting.
+    A nonempty file of canonical unweighted lines (ids of at most 18 digits)
+    is parsed in one ``np.fromstring`` call.  It goes to the line-by-line
+    parser instead, which owns all error reporting, when the parse does not
+    give two ids per line or an id exceeds ``_MAX_NODE_ID``; so does every
+    other file.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     if data and _CANONICAL_EDGES.fullmatch(data):
-        try:
-            arcs = np.loadtxt(io.StringIO(data.decode("ascii")), dtype=np.int64,
-                              delimiter="\t", ndmin=2)
-        except ValueError:
-            pass  # e.g. an id beyond int64: left to the line parser
-        else:
-            u, v = arcs[:, 0], arcs[:, 1]
+        ids = np.fromstring(data, dtype=np.int64, sep=" ")
+        if len(ids) == 2 * data.count(b"\n") and (top := int(ids.max())) <= _MAX_NODE_ID:
+            u, v = ids[0::2], ids[1::2]
             if not directed:
                 # unweighted arcs: from_arcs' sort makes their order irrelevant
                 u, v = np.concatenate([u, v]), np.concatenate([v, u])
-            return from_arcs(int(arcs.max()) + 1, u, v, directed=directed)
+            return from_arcs(top + 1, u, v, directed=directed)
     srcs, dsts, ws = [], [], []
     any_weight = False
     with open(path, "r", encoding="utf-8") as fh:

@@ -14,6 +14,9 @@ the slow, direct versions that pin it:
   ``symbed.embedding._quantize_array``.
 - ``topk_sets_oracle`` picks each row's top-k_i classes as a set and pins
   the indicator rows of ``symbed.evaluation.topk_sets``.
+- ``from_arcs_oracle`` orders arcs by a two-key ``lexsort`` and pins the
+  packed-key sort of ``symbed.graph.from_arcs``: the same ``offsets``,
+  ``targets`` and ``weights``, bit for bit.
 
 They share the library's stream keys (``stream_key``, ``uniform_at``), its
 walk-length array (``walk_lengths``) and its arc-weight sums
@@ -219,3 +222,21 @@ def topk_sets_oracle(P: np.ndarray, ks) -> list[frozenset[int]]:
     """Row-wise top-k_i class sets with ascending-id tie-breaks."""
     order = np.argsort(-P, axis=1, kind="stable")
     return [frozenset(int(c) for c in order[i, :ks[i]]) for i in range(len(ks))]
+
+
+def from_arcs_oracle(num_nodes, src, dst, weights=None, directed=True) -> Graph:
+    """Build a Graph from parallel arc arrays, sorting them into CSR order."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if len(src) and (src.min() < 0 or src.max() >= num_nodes):
+        raise ValueError("source node id out of range")
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    w = None
+    if weights is not None:
+        w = np.asarray(weights, dtype=np.float64)[order]
+    offsets = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.add.at(offsets, src + 1, 1)
+    np.cumsum(offsets, out=offsets)
+    return Graph(num_nodes=num_nodes, offsets=offsets, targets=dst, weights=w,
+                 directed=directed)

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symbed.graph import (DatasetStats, GraphFormatError, LabelError,
-                          LabelTable, connected_components, dataset_stats,
-                          from_arcs, load_edge_list, load_labels,
-                          write_edge_list)
+from symbed.graph import (_MAX_NODES, DatasetStats, GraphFormatError,
+                          LabelError, LabelTable, connected_components,
+                          dataset_stats, from_arcs, load_edge_list,
+                          load_labels, write_edge_list)
 
 from conftest import require_dataset
+from oracles import from_arcs_oracle
 
 
 def _write(tmp_path, text, name="edges.tsv"):
@@ -44,6 +45,12 @@ class TestLoadEdgeList:
     @pytest.mark.parametrize("text", [
         "0\t1\n1\t99999999999999999999\n",    # canonical: the fast path falls back
         "# c\n99999999999999999999\t1\t0.5\n",  # line parser only
+        # ids at and above isqrt(2**63 - 1), the node count whose packed
+        # arc keys still fit in int64
+        "0\t1\n1\t3037000499\n",
+        "# c\n3037000499\t1\t0.5\n",
+        "0\t1\n3037000500\t1\n",
+        "# c\n3037000500\t1\t0.5\n",
     ])
     def test_id_beyond_int64_reports_line(self, tmp_path, text):
         with pytest.raises(GraphFormatError, match=r"edges\.tsv:2: node id .* exceeds"):
@@ -102,6 +109,63 @@ class TestRoundTrip:
         write_edge_list(g, path)
         g2 = load_edge_list(path, directed=False)
         assert g2.num_edges == 6
+
+
+@st.composite
+def arc_lists(draw):
+    """Arc arrays with self-loops, parallel arcs of distinct weights, trailing
+    isolated nodes and empty lists, directed or mirrored."""
+    n = draw(st.integers(0, 40))
+    ids = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=30 if n else 0))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=10))  # parallel
+    directed = draw(st.booleans())
+    if not directed:
+        pairs += [(v, u) for u, v in pairs]
+    src = np.array([u for u, _ in pairs], dtype=np.int64)
+    dst = np.array([v for _, v in pairs], dtype=np.int64)
+    weights = None
+    if draw(st.booleans()):
+        # distinct weights, so parallel arcs' order shows in the weights
+        weights = np.array(draw(st.permutations(range(len(pairs)))), dtype=np.float64)
+    return n, src, dst, weights, directed
+
+
+class TestFromArcs:
+    @settings(max_examples=200, deadline=None)
+    @given(arcs=arc_lists())
+    def test_matches_lexsort_oracle(self, arcs):
+        n, src, dst, weights, directed = arcs
+        g = from_arcs(n, src, dst, weights, directed=directed)
+        want = from_arcs_oracle(n, src, dst, weights, directed=directed)
+        assert g.num_nodes == want.num_nodes and g.directed == want.directed
+        for got, exp in ((g.offsets, want.offsets), (g.targets, want.targets)):
+            assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes()
+        if weights is None:
+            assert g.weights is None and want.weights is None
+        else:
+            assert g.weights.dtype == want.weights.dtype
+            assert g.weights.tobytes() == want.weights.tobytes()
+
+    def test_inputs_left_unchanged(self):
+        src, dst = np.array([2, 0, 1]), np.array([0, 2, 1])
+        from_arcs(3, src, dst)
+        assert src.tolist() == [2, 0, 1] and dst.tolist() == [0, 2, 1]
+
+    @pytest.mark.parametrize("src, dst, end", [
+        ([0], [3], "target"), ([0], [-1], "target"),
+        ([3], [0], "source"), ([-1], [0], "source"),
+    ])
+    def test_id_out_of_range(self, src, dst, end):
+        # packed as src * 3 + dst, (0, 3) would alias to the valid arc (1, 0)
+        with pytest.raises(ValueError, match=f"{end} node id out of range"):
+            from_arcs(3, src, dst)
+
+    def test_node_count_beyond_packed_key_bound(self):
+        assert _MAX_NODES == 3_037_000_499
+        with pytest.raises(ValueError, match="num_nodes 3037000500 exceeds 3037000499"):
+            from_arcs(_MAX_NODES + 1, [0], [1])
 
 
 @st.composite

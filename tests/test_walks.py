@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symbed import walks
 from symbed.graph import from_arcs
 from symbed.synth import random_graph
 from symbed.walks import (WalkConfig, _hash_block, _sink_arcs, dump_hashes,
@@ -188,12 +189,23 @@ class TestHashAll:
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.data, b.data)
 
-    def test_worker_count_invariant(self):
+    def test_worker_count_invariant(self, monkeypatch):
+        # 4,096 walks of up to 5 steps make blocks of 24 nodes: 4 blocks
         g = random_graph(80, 4, seed=3)
-        cfg = WalkConfig(num_walks=16, seed=5)
+        cfg = WalkConfig(num_walks=4096, seed=5)
+        blocks = []
+
+        def counted(arcs, nodes, *args):
+            blocks.append(len(nodes))
+            return _hash_block(arcs, nodes, *args)
+
+        monkeypatch.setattr(walks, "_hash_block", counted)
         base = hash_all(g, cfg, workers=1)
+        assert blocks == [24, 24, 24, 8]
         for workers in (2, 5):
+            blocks.clear()
             other = hash_all(g, cfg, workers=workers)
+            assert sorted(blocks) == [8, 24, 24, 24]
             assert np.array_equal(base.indptr, other.indptr)
             assert np.array_equal(base.indices, other.indices)
             assert np.array_equal(base.data, other.data)
