@@ -19,14 +19,18 @@ crossing column's nnz, itself at most ``num_nodes``.  So the 16-bit byte
 parity with a dense ``budget_dim / 2``-column 32-bit matrix holds for the
 columns before the crossing one, not necessarily for the crossing column.
 
-On disk an embedding is a directory of three files: ``embedding.mtx`` (a
-Matrix Market coordinate matrix), ``feature_map.tsv`` (``column<TAB>node``
-lines) and ``config.json`` (format version, shape, ``value_bits`` and the
-config snapshot).  A quantized embedding (``value_bits`` 16) stores every
-value ``v`` as the integer bin code ``K = rint(v * bins)`` in an ``integer``
-field; its value is ``K / bins``, with ``bins`` read from the snapshot in
-``config.json``.  Unquantized values (``value_bits`` 32) are ``real`` entries
-in shortest round-trip decimal text.  Both read back bit for bit.
+On disk an embedding is a directory of three files: ``embedding.npz`` (the
+CSR matrix in scipy's ``save_npz`` container: ``indptr``, ``indices``,
+``data``, ``shape`` and ``format`` arrays in an uncompressed zip),
+``feature_map.tsv`` (``column<TAB>node`` lines) and ``config.json`` (format
+version, shape, ``value_bits`` and the config snapshot).  A quantized
+embedding (``value_bits`` 16) stores every value ``v`` as the integer bin
+code ``K = rint(v * bins)``, in the narrowest integer dtype that holds the
+codes (uint16 for cosine at 256 bins); its value is ``K / bins``, with
+``bins`` read from the snapshot in ``config.json``.  Unquantized values
+(``value_bits`` 32) are stored as float64.  Both read back bit for bit.  The
+zip is not compressed: deflating the arrays would cost more time than the
+binary layout saves over text.
 """
 
 from __future__ import annotations
@@ -38,16 +42,15 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.io import mmread, mmwrite
 from scipy.spatial.distance import cdist
 
-from .graph import Graph
+from .graph import Graph, canonical_pairs
 from .ranking import PageRankConfig, pagerank, rank_nodes
 from .walks import WalkConfig, hash_all
 
-FORMAT_VERSION = 2  # 2: quantized values stored as integer bin codes
+FORMAT_VERSION = 3  # 2: integer bin codes; 3: the matrix in a CSR .npz
 
-MATRIX_FILE = "embedding.mtx"
+MATRIX_FILE = "embedding.npz"
 FEATURE_MAP_FILE = "feature_map.tsv"
 CONFIG_FILE = "config.json"
 
@@ -335,7 +338,7 @@ def _valid_bins(config) -> int | None:
 
 
 def _bin_codes(values: np.ndarray, bins: int) -> np.ndarray:
-    """The integers ``K`` with ``K / bins`` equal to ``values`` bit for bit.
+    """The int64 integers ``K`` with ``K / bins`` equal to ``values`` bit for bit.
 
     Raises ValueError when some value is no such quotient, including NaN,
     infinities, -0.0 and values whose code overflows int64.
@@ -352,14 +355,27 @@ def _bin_codes(values: np.ndarray, bins: int) -> np.ndarray:
     return codes
 
 
+def _narrowest_int(codes: np.ndarray) -> np.dtype:
+    """The narrowest integer dtype holding every code: unsigned unless some
+    code is negative, uint8 when there are none."""
+    lo, hi = (int(codes.min()), int(codes.max())) if len(codes) else (0, 0)
+    kind = "uint" if lo >= 0 else "int"
+    for t in (np.dtype(f"{kind}{w}") for w in (8, 16, 32, 64)):
+        if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max:
+            return t
+
+
 def save_embedding(e: Embedding, out_dir) -> None:
     """Write the embedding triple: matrix + feature map + config snapshot.
 
-    A 16-bit (quantized) embedding is written as its integer bin codes
-    ``K = rint(v * bins)``, ``bins`` taken from ``e.config``, in a Matrix
-    Market ``integer`` file; a 32-bit one as the shortest decimal text that
-    reads back to the same float64 (``mmwrite(..., precision=None)``).
-    Either way load_embedding returns the matrix bit for bit.
+    The matrix goes to ``embedding.npz`` by ``scipy.sparse.save_npz`` with
+    ``compressed=False``: CSR ``indptr``, ``indices`` and ``data`` plus its
+    ``shape`` and ``format``, in canonical form (sorted row indices, no
+    duplicates).  A 16-bit (quantized) embedding stores as ``data`` its
+    integer bin codes ``K = rint(v * bins)``, ``bins`` taken from
+    ``e.config``, in the narrowest integer dtype that holds them; a 32-bit one
+    stores its float64 values.  Either way load_embedding returns the matrix
+    bit for bit, and the same embedding always gives the same bytes.
 
     Raises ValueError, before writing anything, for a triple load_embedding
     would reject or could not return exactly: ``e.ind`` not naming one pivot
@@ -381,14 +397,19 @@ def save_embedding(e: Embedding, out_dir) -> None:
                           shape=m.shape)
     elif e.value_bits != 32:
         raise ValueError(f"value_bits must be 16 or 32, got {e.value_bits!r}")
+    if not m.has_canonical_format:
+        # sort a copy, whose duplicate codes sum in int64: the caller's
+        # matrix, whose arrays m may share, stays as it is
+        m = m.copy()
+        m.sum_duplicates()
+    if e.value_bits == 16:
+        m.data = m.data.astype(_narrowest_int(m.data))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # "general" lists every entry: left to scipy, a small symmetric matrix
-    # would be written as its lower triangle
-    mmwrite(out / MATRIX_FILE, m.tocoo(), precision=None, symmetry="general")
+    sp.save_npz(out / MATRIX_FILE, m, compressed=False)
     with open(out / FEATURE_MAP_FILE, "w", encoding="utf-8") as fh:
-        for j, node in enumerate(e.ind):
-            fh.write(f"{j}\t{int(node)}\n")
+        fh.write("".join(f"{j}\t{int(node)}\n"
+                         for j, node in enumerate(np.asarray(e.ind).tolist())))
     meta = {
         "format_version": FORMAT_VERSION,
         "shape": [int(e.matrix.shape[0]), int(e.matrix.shape[1])],
@@ -403,14 +424,19 @@ def save_embedding(e: Embedding, out_dir) -> None:
 def load_embedding(in_dir) -> Embedding:
     """Read back an embedding triple written by save_embedding.
 
-    A 16-bit embedding's matrix holds integer bin codes ``K``; each value
-    is ``K / bins``, with ``bins`` from the config snapshot in
-    ``config.json``.  A 32-bit embedding's values are read as written.
+    ``embedding.npz`` is read by ``scipy.sparse.load_npz``, which refuses
+    pickled (object) arrays.  A 16-bit embedding's matrix holds integer bin
+    codes ``K``; each value is ``K / bins``, with ``bins`` from the config
+    snapshot in ``config.json``.  A 32-bit embedding's float64 values are
+    read as written.
 
     Raises EmbeddingFormatError for another format version (re-run
-    ``symbed embed`` to rewrite older files), a malformed ``config.json``
-    (naming the key), an unreadable matrix or feature map, or a 16-bit
-    matrix whose field is not ``integer``.
+    ``symbed embed`` to rewrite older files, such as version 2's Matrix
+    Market matrices), a malformed ``config.json`` (naming the key), an
+    unreadable feature map, or an ``embedding.npz`` that is unreadable, not
+    CSR, fails ``check_format(full_check=True)``, is not in canonical form,
+    or holds values of the wrong dtype: not integers at 16 bits, not float64
+    at 32.
     """
     src = Path(in_dir)
     cfg_path = src / CONFIG_FILE
@@ -447,33 +473,57 @@ def load_embedding(in_dir) -> Embedding:
         raise EmbeddingFormatError(
             f"{cfg_path}: key 'config.bins' must be an integer >= 2 for 16-bit "
             f"values, got {config.get('bins')!r}")
-    try:
-        mat = mmread(src / MATRIX_FILE).tocsr()
-    except Exception as exc:
-        raise EmbeddingFormatError(f"{src / MATRIX_FILE}: {exc}") from None
+    mat = _read_matrix(src / MATRIX_FILE, bins if value_bits == 16 else None)
     if shape != list(mat.shape):
         raise EmbeddingFormatError(
             f"matrix shape {mat.shape} does not match recorded {shape}")
-    if value_bits == 16:
-        # mmwrite heads a matrix with no entries 'real' whatever its dtype
-        if mat.nnz and mat.dtype.kind != "i":
-            raise EmbeddingFormatError(
-                f"{src / MATRIX_FILE}: 16-bit values are stored as bin codes in "
-                f"an 'integer' field, this file reads as {mat.dtype}")
-        mat = sp.csr_matrix((mat.data / bins, mat.indices, mat.indptr),
-                            shape=mat.shape)
     ind = _read_feature_map(src / FEATURE_MAP_FILE, *mat.shape)
-    return Embedding(matrix=mat, ind=np.asarray(ind, dtype=np.int64),
-                     config=config, value_bits=value_bits)
+    return Embedding(matrix=mat, ind=ind, config=config, value_bits=value_bits)
 
 
-def _read_feature_map(path: Path, num_rows: int, num_columns: int) -> list[int]:
+def _read_matrix(path: Path, bins: int | None) -> sp.csr_matrix:
+    """The CSR matrix save_embedding wrote, its values divided by ``bins``
+    when given (16 bits); see load_embedding for what is refused."""
+    try:
+        mat = sp.load_npz(path)
+        if mat.format != "csr":
+            raise ValueError(f"stored as {mat.format}, expected csr")
+        mat.check_format(full_check=True)
+    except Exception as exc:
+        raise EmbeddingFormatError(f"{path}: {exc}") from None
+    if not mat.has_canonical_format:
+        raise EmbeddingFormatError(
+            f"{path}: row indices are not sorted and unique (canonical CSR)")
+    if bins is None:
+        if mat.dtype != np.float64:
+            raise EmbeddingFormatError(
+                f"{path}: 32-bit values are stored as float64, this file holds "
+                f"{mat.dtype}")
+        data = mat.data
+    else:
+        if mat.dtype.kind not in "iu":
+            raise EmbeddingFormatError(
+                f"{path}: 16-bit values are stored as integer bin codes, this "
+                f"file holds {mat.dtype}")
+        data = mat.data / bins
+    return sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
+
+
+def _read_feature_map(path: Path, num_rows: int, num_columns: int) -> np.ndarray:
     """Pivot node ids from ``j<TAB>node`` lines, j running 0..num_columns-1.
 
-    Every id must name a matrix row, one of 0..num_rows-1.
+    Every id must name a matrix row, one of 0..num_rows-1.  A file of
+    canonical lines, as save_embedding writes it, is parsed in one pass
+    (``canonical_pairs``) and kept when it meets both rules; any other file
+    goes to the line parser, which reports the first offending line.
     """
     if not path.is_file():
         raise EmbeddingFormatError(f"{path} not found")
+    with open(path, "rb") as fh:
+        pairs = canonical_pairs(fh.read())
+    if (pairs is not None and np.array_equal(pairs[:, 0], np.arange(num_columns))
+            and pairs[:, 1].max() < num_rows):
+        return pairs[:, 1].copy()
     ind: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -494,4 +544,4 @@ def _read_feature_map(path: Path, num_rows: int, num_columns: int) -> list[int]:
     if len(ind) != num_columns:
         raise EmbeddingFormatError(
             f"{path}: {len(ind)} columns listed, the matrix has {num_columns}")
-    return ind
+    return np.asarray(ind, dtype=np.int64)

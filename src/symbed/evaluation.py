@@ -37,7 +37,6 @@ class LogRegParams:
     reg_strength: float = 1.0
     max_iter: int = 500
     tol: float = 1e-6
-    record_history: bool = False  # keep per-iteration losses (costs extra evals)
 
 
 def logreg_loss_grad(theta: np.ndarray, X, Y: np.ndarray, reg: float):
@@ -58,12 +57,11 @@ def logreg_loss_grad(theta: np.ndarray, X, Y: np.ndarray, reg: float):
 class LogRegModel:
     """Trained one-vs-rest heads; classes absent from training predict 0."""
 
-    def __init__(self, W, b, num_classes, empty_classes, history=None):
+    def __init__(self, W, b, num_classes, empty_classes):
         self.W = W
         self.b = b
         self.num_classes = num_classes
         self.empty_classes = list(empty_classes)
-        self.history = history or []
 
     def predict_proba(self, X) -> np.ndarray:
         P = expit(X @ self.W + self.b)
@@ -85,19 +83,17 @@ def train_logreg(X, Y: np.ndarray, params: LogRegParams | None = None) -> LogReg
     empty = [int(c) for c in range(k) if c not in set(active.tolist())]
     W = np.zeros((d, k))
     b = np.full(k, -np.inf)
-    history: list[float] = []
     if len(active):
         Ya = Y[:, active]
         ka = len(active)
         x0 = np.zeros(d * ka + ka)
         fun = lambda t: logreg_loss_grad(t, X, Ya, params.reg_strength)
-        callback = (lambda t: history.append(fun(t)[0])) if params.record_history else None
-        theta = minimize(fun, x0, jac=True, method="L-BFGS-B", callback=callback,
+        theta = minimize(fun, x0, jac=True, method="L-BFGS-B",
                          options={"maxiter": params.max_iter,
                                   "gtol": params.tol, "ftol": 1e-12}).x
         W[:, active] = theta[:d * ka].reshape(d, ka)
         b[active] = theta[d * ka:]
-    return LogRegModel(W, b, k, empty, history)
+    return LogRegModel(W, b, k, empty)
 
 
 def topk_sets(P: np.ndarray, ks: np.ndarray) -> np.ndarray:

@@ -119,11 +119,24 @@ def from_arcs(num_nodes, src, dst, weights=None, directed=True) -> Graph:
                  directed=directed)
 
 
-# The unweighted form write_edge_list emits: ``src<TAB>dst`` lines of at most
-# 18 ASCII digits each (below 2**63, so int64 parsing cannot saturate), each
-# ending in a newline.  The possessive quantifiers accept the same files as
-# plain ones without keeping backtracking state.
-_CANONICAL_EDGES = re.compile(rb"(?:[0-9]{1,18}+\t[0-9]{1,18}+\n)*+")
+# The canonical form of a two-id line file, as write_edge_list (unweighted),
+# save_embedding's feature map and one-class-per-line label files have it:
+# ``a<TAB>b`` lines of at most 18 ASCII digits each (below 2**63, so int64
+# parsing cannot saturate), each ending in a newline.  The possessive
+# quantifiers accept the same files as plain ones without keeping
+# backtracking state.
+_CANONICAL_PAIRS = re.compile(rb"(?:[0-9]{1,18}+\t[0-9]{1,18}+\n)*+")
+
+
+def canonical_pairs(data: bytes) -> np.ndarray | None:
+    """The ``(lines, 2)`` int64 ids of a nonempty file of canonical
+    ``a<TAB>b`` lines, parsed in one ``np.fromstring`` call; None for any
+    other file, which its loader's line parser then reads."""
+    if data and _CANONICAL_PAIRS.fullmatch(data):
+        ids = np.fromstring(data, dtype=np.int64, sep=" ")
+        if len(ids) == 2 * data.count(b"\n"):
+            return ids.reshape(-1, 2)
+    return None
 
 
 def load_edge_list(path, directed: bool = False) -> Graph:
@@ -135,21 +148,18 @@ def load_edge_list(path, directed: bool = False) -> Graph:
     arcs and self-loops are preserved.
 
     A nonempty file of canonical unweighted lines (ids of at most 18 digits)
-    is parsed in one ``np.fromstring`` call.  It goes to the line-by-line
-    parser instead, which owns all error reporting, when the parse does not
-    give two ids per line or an id exceeds ``_MAX_NODE_ID``; so does every
-    other file.
+    is parsed in one pass (``canonical_pairs``).  It goes to the line-by-line
+    parser instead, which owns all error reporting, when an id exceeds
+    ``_MAX_NODE_ID``; so does every other file.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data and _CANONICAL_EDGES.fullmatch(data):
-        ids = np.fromstring(data, dtype=np.int64, sep=" ")
-        if len(ids) == 2 * data.count(b"\n") and (top := int(ids.max())) <= _MAX_NODE_ID:
-            u, v = ids[0::2], ids[1::2]
-            if not directed:
-                # unweighted arcs: from_arcs' sort makes their order irrelevant
-                u, v = np.concatenate([u, v]), np.concatenate([v, u])
-            return from_arcs(top + 1, u, v, directed=directed)
+        ids = canonical_pairs(fh.read())
+    if ids is not None and (top := int(ids.max())) <= _MAX_NODE_ID:
+        u, v = ids[:, 0], ids[:, 1]
+        if not directed:
+            # unweighted arcs: from_arcs' sort makes their order irrelevant
+            u, v = np.concatenate([u, v]), np.concatenate([v, u])
+        return from_arcs(top + 1, u, v, directed=directed)
     srcs, dsts, ws = [], [], []
     any_weight = False
     with open(path, "r", encoding="utf-8") as fh:
@@ -264,9 +274,30 @@ def load_labels(path, num_nodes: int) -> LabelTable:
     id whose dense ``num_nodes x (id + 1)`` float64 matrix, which label
     propagation builds, would not fit in physical memory is refused before
     anything is allocated.
+
+    A file of canonical ``node<TAB>class`` lines (one class per line, no
+    comments or blank lines) is parsed in one pass (``canonical_pairs``).  It
+    goes to the line parser instead, which owns all error reporting, when a
+    node id is out of range or a class id too large; so does every other file.
     """
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     max_classes = memory // (8 * max(num_nodes, 1))
+    with open(path, "rb") as fh:
+        ids = canonical_pairs(fh.read())
+    if (ids is not None and ids[:, 0].max() < num_nodes
+            and ids[:, 1].max() < max_classes):
+        nodes, classes = ids[:, 0], ids[:, 1]
+    else:
+        nodes, classes = _read_label_lines(path, num_nodes, max_classes, memory)
+    indicator = np.zeros((num_nodes, int(np.max(classes, initial=-1)) + 1),
+                         dtype=bool)
+    indicator[nodes, classes] = True
+    return LabelTable(indicator)
+
+
+def _read_label_lines(path, num_nodes: int, max_classes: int, memory: int
+                      ) -> tuple[list[int], list[int]]:
+    """load_labels' line parser: one (node, class) pair per listed class."""
     nodes: list[int] = []
     classes: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -300,9 +331,7 @@ def load_labels(path, num_nodes: int) -> LabelTable:
                         f"{memory} bytes of memory")
                 nodes.append(node)
                 classes.append(c)
-    indicator = np.zeros((num_nodes, max(classes, default=-1) + 1), dtype=bool)
-    indicator[nodes, classes] = True
-    return LabelTable(indicator)
+    return nodes, classes
 
 
 def connected_components(g: Graph) -> int:

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -75,8 +76,8 @@ class TestEmbed:
                     "--num-walks", 32, "--dim", 20])
         assert code == 0
         captured = capsys.readouterr()
-        for name in ("embedding.mtx", "feature_map.tsv", "config.json"):
-            assert (out / name).is_file()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config.json", "embedding.npz", "feature_map.tsv"]
         stages = dict(line.split("\t") for line in captured.err.splitlines())
         assert set(stages) == {"walks+hash", "pagerank", "similarity"}
         for v in stages.values():
@@ -117,11 +118,11 @@ class TestEmbed:
                             "--num-walks", 32, "--dim", 16, "--workers", workers,
                             *mode]) == 0
                 blobs.append(tuple((out / f).read_bytes()
-                                   for f in ("embedding.mtx", "feature_map.tsv",
+                                   for f in ("embedding.npz", "feature_map.tsv",
                                              "config.json")))
             assert blobs[0] == blobs[1] == blobs[2]
-            field = b"integer" if mode else b"real"
-            assert blobs[0][0].startswith(b"%%MatrixMarket matrix coordinate " + field)
+            with np.load(io.BytesIO(blobs[0][0])) as stored:
+                assert stored["data"].dtype == (np.uint16 if mode else np.float64)
 
     def test_dump_hashes(self, dataset, tmp_path):
         edges, _ = dataset
@@ -270,7 +271,7 @@ class TestEval:
         assert run(["eval", emb, "--labels", labels, "--out", tmp_path / "x",
                     "--fractions", "0.5", "--shuffles", 1, "--reps", 1]) == 2
         err = capsys.readouterr().err
-        assert "embedding.mtx" in err and "'integer' field" in err
+        assert "embedding.npz" in err and "integer bin codes" in err
         assert "Traceback" not in err
 
     def test_absurd_class_id_is_data_error(self, dataset, tmp_path, capsys):

@@ -1,15 +1,19 @@
 import json
 import tempfile
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.io import mmwrite
 
 from symbed.embedding import (Embedding, EmbeddingConfig, EmbeddingFormatError,
-                              _quantize_array, compute_variances, embed_fixed,
-                              embed_sdf, load_embedding, save_embedding)
+                              _quantize_array, _read_feature_map,
+                              compute_variances, embed_fixed, embed_sdf,
+                              load_embedding, save_embedding)
 from symbed.evaluation import random_embedding
 from symbed.graph import from_arcs
 from symbed.ranking import PageRankConfig
@@ -17,6 +21,20 @@ from symbed.synth import planted_partition, random_graph
 from symbed.walks import WalkConfig, hash_all
 
 from oracles import digitize, hash_row, similarity
+
+
+unpickled = []
+
+
+def _unpickle_tripwire():
+    unpickled.append(True)
+
+
+class Tripwire:
+    """An object whose unpickling is recorded in ``unpickled``."""
+
+    def __reduce__(self):
+        return _unpickle_tripwire, ()
 
 
 def small_cfg(mode="fixed", **kw):
@@ -277,14 +295,15 @@ class TestPersistence:
         assert back.config == emb.config
         assert back.value_bits == emb.value_bits
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(values=st.lists(
-        st.one_of(st.floats(0.0, 1.0),
-                  st.sampled_from([5e-324, 2.0 ** -1074 * 3, 2.2250738585072009e-308,
-                                   1 / 3, 1 - 2.0 ** -53]),
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from([5e-324, -5e-324, 2.0 ** -1074 * 3,
+                                   2.2250738585072009e-308, -0.0, 1 / 3,
+                                   1 - 2.0 ** -53, -1e308]),
                   st.integers(0, 256).map(lambda k: k / 256)),
         min_size=1, max_size=60))
-    def test_shortest_text_round_trips_exactly(self, values):
+    def test_any_finite_float64_round_trips_exactly(self, values):
         # one value per row, spread over three columns; pivots name rows
         rows = np.arange(len(values))
         m = sp.csr_matrix((np.array(values), (rows, rows % 3)), shape=(len(values), 3))
@@ -327,33 +346,83 @@ class TestPersistence:
         assert back.indices.tobytes() == m.indices.tobytes()
         assert back.data.tobytes() == m.data.tobytes()
 
-    def test_matrix_market_header(self, tmp_path):
-        g = random_graph(20, 4, seed=1)
-        save_embedding(embed_fixed(g, small_cfg(d=5)), tmp_path / "e")
-        head = (tmp_path / "e" / "embedding.mtx").read_text().splitlines()[0]
-        assert head.startswith("%%MatrixMarket matrix coordinate real general")
+    @staticmethod
+    def stored(directory):
+        """The arrays of ``embedding.npz``, read with pickles refused."""
+        path = directory / "embedding.npz"
+        with zipfile.ZipFile(path) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
+        with np.load(path, allow_pickle=False) as npz:
+            return {k: npz[k] for k in npz.files}
 
-    def test_quantized_matrix_market_header(self, tmp_path):
+    def test_npz_layout(self, tmp_path):
+        g = random_graph(20, 4, seed=1)
+        emb = embed_fixed(g, small_cfg(d=5))
+        save_embedding(emb, tmp_path / "e")
+        stored = self.stored(tmp_path / "e")
+        assert set(stored) == {"indptr", "indices", "data", "shape", "format"}
+        assert stored["format"].item() == b"csr"
+        assert stored["shape"].tolist() == [20, 5]
+        assert stored["indptr"].tobytes() == emb.matrix.indptr.tobytes()
+        assert stored["indices"].tobytes() == emb.matrix.indices.tobytes()
+        assert stored["data"].dtype == np.float64
+        assert stored["data"].tobytes() == emb.matrix.data.tobytes()
+
+    def test_quantized_npz_codes(self, tmp_path):
         g = random_graph(35, 4, seed=6)
         emb = embed_sdf(g, small_cfg("sdf", budget_dim=3))
         save_embedding(emb, tmp_path / "e")
-        lines = (tmp_path / "e" / "embedding.mtx").read_text().splitlines()
-        assert lines[0] == "%%MatrixMarket matrix coordinate integer general"
-        codes = sorted(int(line.split()[2]) for line in lines[3:])
-        assert codes == sorted(np.rint(emb.matrix.data * 256).astype(int).tolist())
+        stored = self.stored(tmp_path / "e")
+        # cosine codes run 0..256: one past uint8
+        assert stored["data"].dtype == np.uint16
+        np.testing.assert_array_equal(stored["data"], np.rint(emb.matrix.data * 256))
+        assert stored["indices"].tobytes() == emb.matrix.indices.tobytes()
+
+    @pytest.mark.parametrize("codes,dtype", [
+        ([0, 255], np.uint8), ([256], np.uint16), ([2**16], np.uint32),
+        ([2**32], np.uint64), ([-1, 127], np.int8), ([-1, 128], np.int16),
+        ([-(2**15) - 1], np.int32), ([-1, 2**31], np.int64), ([], np.uint8),
+    ])
+    def test_codes_take_narrowest_integer_dtype(self, tmp_path, codes, dtype):
+        bins = 4
+        m = sp.csr_matrix((np.array(codes, dtype=np.int64) / bins,
+                           (np.zeros(len(codes), dtype=int), np.arange(len(codes)))),
+                          shape=(1, max(len(codes), 1)))
+        emb = Embedding(matrix=m, ind=np.zeros(m.shape[1], dtype=int),
+                        config={"bins": bins}, value_bits=16)
+        save_embedding(emb, tmp_path / "e")
+        assert self.stored(tmp_path / "e")["data"].dtype == dtype
+        assert load_embedding(tmp_path / "e").matrix.data.tobytes() == m.data.tobytes()
+
+    @pytest.mark.parametrize("value_bits,dtype", [(32, np.float64), (16, np.uint16)])
+    def test_non_canonical_matrix_saved_canonical(self, tmp_path, value_bits, dtype):
+        # row 0 lists column 1 before column 0, and column 1 twice: the
+        # codes 200 + 200 sum to 400, past uint8
+        m = sp.csr_matrix((np.array([200, 100, 200, 3]) / 256, [1, 0, 1, 1],
+                           [0, 3, 4]), shape=(2, 2))
+        arrays = [a.copy() for a in (m.indptr, m.indices, m.data)]
+        save_embedding(Embedding(matrix=m, ind=np.arange(2), config={"bins": 256},
+                                 value_bits=value_bits), tmp_path / "e")
+        assert self.stored(tmp_path / "e")["data"].dtype == dtype
+        back = load_embedding(tmp_path / "e").matrix
+        assert back.indptr.tolist() == [0, 2, 3]
+        assert back.indices.tolist() == [0, 1, 1]
+        assert back.data.tolist() == [100 / 256, 400 / 256, 3 / 256]
+        for a, b in zip(arrays, (m.indptr, m.indices, m.data)):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("value_bits,field", [(32, "real"), (16, "integer")])
     def test_symmetric_matrix_written_general(self, tmp_path, value_bits, field):
-        # a small symmetric matrix lists every entry, not its lower triangle
+        # a small symmetric matrix stores every entry, not one triangle
         m = sp.csr_matrix(np.array([[0.5, 0.25], [0.25, 1.0]]))
         emb = Embedding(matrix=m, ind=np.arange(2), config={"bins": 256},
                         value_bits=value_bits)
         save_embedding(emb, tmp_path / "e")
-        lines = (tmp_path / "e" / "embedding.mtx").read_text().splitlines()
-        assert lines[0] == f"%%MatrixMarket matrix coordinate {field} general"
-        assert lines[2] == "2 2 4"
-        entries = [tuple(line.split()[:2]) for line in lines[3:]]
-        assert entries == [("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")]
+        stored = self.stored(tmp_path / "e")
+        assert stored["data"].dtype.kind == {"real": "f", "integer": "u"}[field]
+        assert stored["indptr"].tolist() == [0, 2, 4]
+        assert stored["indices"].tolist() == [0, 1, 0, 1]
+        assert len(stored["data"]) == 4
         back = load_embedding(tmp_path / "e").matrix
         assert back.data.tobytes() == m.data.tobytes()
 
@@ -419,8 +488,72 @@ class TestPersistence:
     def test_bad_matrix_magic_rejected(self, tmp_path):
         g = random_graph(20, 4, seed=1)
         save_embedding(embed_fixed(g, small_cfg(d=3)), tmp_path / "e")
-        (tmp_path / "e" / "embedding.mtx").write_text("not a matrix\n1 2 3\n")
-        with pytest.raises(EmbeddingFormatError):
+        (tmp_path / "e" / "embedding.npz").write_bytes(b"not a matrix\n1 2 3\n")
+        with pytest.raises(EmbeddingFormatError, match="embedding.npz: "):
+            load_embedding(tmp_path / "e")
+
+    def _identity_with(self, tmp_path, **arrays):
+        """A saved 3 x 3 identity embedding whose embedding.npz then holds
+        the identity's CSR arrays with `arrays` put in their place."""
+        save_embedding(Embedding(matrix=sp.csr_matrix(np.eye(3)), ind=np.arange(3),
+                                 config={}), tmp_path / "e")
+        base = {"format": np.array(b"csr"), "shape": np.array([3, 3]),
+                "indptr": np.array([0, 1, 2, 3]), "indices": np.array([0, 1, 2]),
+                "data": np.ones(3)}
+        np.savez(tmp_path / "e" / "embedding.npz", **{**base, **arrays})
+        return tmp_path / "e"
+
+    def test_identity_arrays_load(self, tmp_path):
+        # the base of the malformed cases below is itself accepted
+        back = load_embedding(self._identity_with(tmp_path)).matrix
+        assert (back != sp.eye(3)).nnz == 0
+
+    @pytest.mark.parametrize("arrays,message", [
+        ({"format": np.array(b"csc")}, "stored as csc, expected csr"),
+        ({"format": np.array(b"coo"), "row": np.arange(3), "col": np.arange(3)},
+         "stored as coo, expected csr"),
+        ({"indices": np.array([0, 1, 3])}, "indices must be < 3"),
+        ({"indices": np.array([0, -1, 2])}, "indices must be >= 0"),
+        ({"indptr": np.array([0, 2, 1, 3])}, "indptr must be a non-decreasing"),
+        ({"indptr": np.array([1, 2, 3, 3])}, "index pointer should start with 0"),
+        ({"indptr": np.array([0, 1, 2])}, "index pointer size"),
+        ({"data": np.ones(2)}, "same size"),
+        ({"indptr": np.array([0, 2, 2, 3]), "indices": np.array([0, 0, 2])},
+         "not sorted and unique"),
+        ({"indptr": np.array([0, 2, 2, 3]), "indices": np.array([1, 0, 2])},
+         "not sorted and unique"),
+        ({"data": np.ones(3, dtype=np.float32)}, "stored as float64.*float32"),
+        ({"data": np.ones(3, dtype=np.int64)}, "stored as float64.*int64"),
+    ])
+    def test_malformed_matrix_refused(self, tmp_path, arrays, message):
+        directory = self._identity_with(tmp_path, **arrays)
+        with pytest.raises(EmbeddingFormatError, match=f"embedding.npz: .*{message}"):
+            load_embedding(directory)
+
+    def test_object_array_refused_without_unpickling(self, tmp_path):
+        unpickled.clear()
+        directory = self._identity_with(
+            tmp_path, data=np.array([Tripwire()] * 3, dtype=object))
+        with pytest.raises(EmbeddingFormatError, match="embedding.npz: .*pickle"):
+            load_embedding(directory)
+        assert unpickled == []
+        # the file does hold a pickle that would run code when loaded
+        with np.load(directory / "embedding.npz", allow_pickle=True) as npz:
+            npz["data"]
+        assert unpickled
+
+    def test_version_2_directory_refused(self, tmp_path):
+        # version 2 stored the matrix as Matrix Market text
+        emb = Embedding(matrix=sp.csr_matrix(np.eye(3)), ind=np.arange(3), config={})
+        save_embedding(emb, tmp_path / "e")
+        (tmp_path / "e" / "embedding.npz").unlink()
+        mmwrite(tmp_path / "e" / "embedding.mtx", emb.matrix.tocoo())
+        cfg_file = tmp_path / "e" / "config.json"
+        meta = json.loads(cfg_file.read_text())
+        meta["format_version"] = 2
+        cfg_file.write_text(json.dumps(meta))
+        with pytest.raises(EmbeddingFormatError,
+                           match=r"format version 2 unsupported.*re-run `symbed embed`"):
             load_embedding(tmp_path / "e")
 
     def _saved(self, tmp_path, d=10):
@@ -485,7 +618,9 @@ class TestPersistence:
         meta["value_bits"] = 16
         meta["config"]["bins"] = 256
         cfg_file.write_text(json.dumps(meta))
-        with pytest.raises(EmbeddingFormatError, match="embedding.mtx: .*'integer' field"):
+        with pytest.raises(EmbeddingFormatError,
+                           match="embedding.npz: 16-bit values are stored as integer "
+                                 "bin codes, this file holds float64"):
             load_embedding(tmp_path / "e")
 
     def test_non_object_config_rejected(self, tmp_path):
@@ -503,6 +638,40 @@ class TestPersistence:
         path.write_text("".join(lines))
         with pytest.raises(EmbeddingFormatError,
                            match=rf"feature_map.tsv:{lineno}: pivot node {node} outside \[0, 3\)"):
+            load_embedding(tmp_path / "e")
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), num_rows=st.integers(1, 50), num_columns=st.integers(0, 12))
+    def test_canonical_feature_map_matches_line_parser(self, data, num_rows,
+                                                       num_columns):
+        # a leading blank line sends the same lines through the line parser
+        nodes = data.draw(st.lists(st.integers(0, num_rows - 1),
+                                   min_size=num_columns, max_size=num_columns))
+        text = "".join(f"{j}\t{node}\n" for j, node in enumerate(nodes))
+        with tempfile.TemporaryDirectory() as tmp:
+            fast, slow = Path(tmp, "fast.tsv"), Path(tmp, "slow.tsv")
+            fast.write_text(text)
+            slow.write_text("\n" + text)
+            a = _read_feature_map(fast, num_rows, num_columns)
+            b = _read_feature_map(slow, num_rows, num_columns)
+        assert a.dtype == b.dtype == np.int64
+        assert a.tolist() == b.tolist() == nodes
+
+    @pytest.mark.parametrize("text,message", [
+        ("0\t1\n1\t3\n2\t0\n", r"feature_map\.tsv:2: pivot node 3 outside \[0, 3\)"),
+        ("0\t1\n1\t999999999999999999\n2\t0\n",
+         r"feature_map\.tsv:2: pivot node 999999999999999999 outside"),
+        ("0\t1\n2\t2\n1\t0\n", r"feature_map\.tsv:2: column 2 out of order"),
+        ("1\t1\n", r"feature_map\.tsv:1: column 1 out of order"),
+        ("0\t1\n1\t2\n", r"feature_map\.tsv: 2 columns listed, the matrix has 3"),
+        ("0\t1\n1\t2\n2\t0\n3\t0\n", r"feature_map\.tsv: 4 columns listed"),
+    ])
+    def test_bad_ids_in_canonical_feature_map_report_line(self, tmp_path, text,
+                                                          message):
+        save_embedding(Embedding(matrix=sp.csr_matrix(np.eye(3)), ind=np.arange(3),
+                                 config={}), tmp_path / "e")
+        (tmp_path / "e" / "feature_map.tsv").write_text(text)
+        with pytest.raises(EmbeddingFormatError, match=message):
             load_embedding(tmp_path / "e")
 
     def test_missing_feature_map_rejected(self, tmp_path):

@@ -234,6 +234,32 @@ class TestLoadLabels:
         with pytest.raises(LabelError, match=r"l\.tsv:2: class id 1099511627776 "):
             load_labels(path, num_nodes=3)
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12))
+    def test_canonical_file_matches_line_parser(self, data, n):
+        # canonical lines, repeats included; a leading comment sends the
+        # same lines through the line parser
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(0, 9)), min_size=1))
+        text = "".join(f"{node}\t{c}\n" for node, c in pairs)
+        with tempfile.TemporaryDirectory() as tmp:
+            fast = load_labels(_write(Path(tmp), text, "fast.tsv"), num_nodes=n)
+            slow = load_labels(_write(Path(tmp), "# x\n" + text, "slow.tsv"),
+                               num_nodes=n)
+        assert fast.indicator.shape == slow.indicator.shape
+        assert fast.indicator.tobytes() == slow.indicator.tobytes()
+
+    @pytest.mark.parametrize("text,message", [
+        ("0\t1\n1\t0\n7\t0\n", r"l\.tsv:3: node id 7 out of range \[0, 3\)"),
+        ("2\t0\n3\t0\n", r"l\.tsv:2: node id 3 out of range"),
+        ("0\t0\n999999999999999999\t0\n", r"l\.tsv:2: node id 999999999999999999 "),
+        ("0\t0\n9999999999999999999\t0\n", r"l\.tsv:2: node id 9999999999999999999 "),
+        ("0\t0\n1\t9999999999999999999\n", r"l\.tsv:2: class id 9999999999999999999 "),
+    ])
+    def test_bad_ids_in_canonical_file_report_line(self, tmp_path, text, message):
+        with pytest.raises(LabelError, match=message):
+            load_labels(_write(tmp_path, text, "l.tsv"), num_nodes=3)
+
     def test_table_rejects_other_arrays(self):
         with pytest.raises(LabelError, match="2-d bool"):
             LabelTable(np.array([True, False]))
