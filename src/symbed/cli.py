@@ -54,7 +54,9 @@ def _embedding_config(args, sdf: bool | None = None) -> EmbeddingConfig:
 
 def _add_walk_flags(p):
     p.add_argument("--seed", type=int, default=0, help="global random seed")
-    p.add_argument("--workers", type=int, default=1, help="worker thread bound")
+    p.add_argument("--workers", type=int, default=1,
+                   help="threads for hashing and for scoring pivot column "
+                        "chunks (outputs are the same for any count)")
     p.add_argument("--epsilon", type=float, default=0.005,
                    help="hash pruning threshold")
     p.add_argument("--max-len", type=int, default=5,

@@ -12,6 +12,17 @@ rows times a transpose of the node rows that is converted to CSR once, and
 that product's transpose is an ``n x chunk`` CSC block.  Quantization and
 the budget count work on the CSC blocks; the kept blocks are stacked as CSC
 and converted to CSR once at the end, which also sorts each row's indices.
+An sdf chunk is 512 columns wide for cosine and jaccard and 128 for the
+distance metrics, whose ``n x chunk`` dense block bounds their memory.
+
+With ``workers > 1``, chunks are scored and quantized on a pool of that many
+threads, at most ``workers`` at once, while the calling thread takes their
+results in rank order and applies the budget rule to each as before; the
+metric's rows are prepared on the pool while PageRank runs.  Chunks still in
+flight when the budget is crossed are discarded.  Each chunk's columns are
+row-by-row products over its own pivots' rows, so the embedding is the same
+bits for any worker count and chunk width.  Hashing, PageRank and the ranking
+run on the calling thread (hashing with its own ``workers`` threads).
 
 Size bound of the budgeted mode: the columns before the crossing one hold at
 most ``num_nodes * budget_dim`` values; the total is at most that plus the
@@ -37,7 +48,10 @@ from __future__ import annotations
 
 import json
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +68,11 @@ MATRIX_FILE = "embedding.npz"
 FEATURE_MAP_FILE = "feature_map.tsv"
 CONFIG_FILE = "config.json"
 
-_COLUMN_CHUNK = 128  # pivot columns per sdf pass of the column path
+# pivot columns per sdf chunk of the column path: the distance metrics build
+# an n x chunk dense block, cosine and jaccard stay sparse and take wider
+# chunks, which cuts per-chunk overhead
+_COLUMN_CHUNK = 128
+_PRODUCT_CHUNK = 512
 
 # Cosine and jaccard are similarities in [0, 1]; euclidean, seuclidean and
 # canberra are distances >= 0 over the union of two hashes' supports, with
@@ -232,22 +250,24 @@ def _config_snapshot(cfg: EmbeddingConfig) -> dict:
     return snap
 
 
-def _hash_and_rank(g: Graph, cfg: EmbeddingConfig, workers: int,
-                   timings: dict | None):
-    t0 = time.perf_counter()
-    h = hash_all(g, cfg.walk, workers=workers)
-    t1 = time.perf_counter()
-    order = rank_nodes(pagerank(g, cfg.pagerank)).order
-    t2 = time.perf_counter()
-    if timings is not None:
-        timings["walks+hash"] = t1 - t0
-        timings["pagerank"] = t2 - t1
-    return h, order
-
-
 def _check_mode(cfg: EmbeddingConfig, mode: str) -> None:
     if cfg.mode != mode:
         raise ValueError(f"embed_{mode} needs mode={mode!r}, got {cfg.mode!r}")
+
+
+def _in_order(pool: ThreadPoolExecutor, fn, args, ahead: int):
+    """Yield ``fn(a)`` for each of ``args`` in order, with up to ``ahead``
+    calls submitted to ``pool`` at once.
+
+    The next call is submitted only when the caller asks for the next result,
+    so a caller that stops early leaves at most ``ahead - 1`` calls running;
+    ``pool.shutdown()`` waits for them, and their results are dropped.
+    """
+    args = iter(args)
+    pending = deque(pool.submit(fn, a) for a in islice(args, ahead))
+    while pending:
+        yield pending.popleft().result()
+        pending.extend(pool.submit(fn, a) for a in islice(args, 1))
 
 
 def _embed(g: Graph, cfg: EmbeddingConfig, workers: int,
@@ -255,44 +275,74 @@ def _embed(g: Graph, cfg: EmbeddingConfig, workers: int,
     """The column path: ranked pivot columns, scored and quantized a chunk at
     a time, until the rule of ``cfg.mode`` stops it.
 
+    With ``workers > 1`` one pool of that many threads prepares the metric's
+    rows while PageRank runs and scores up to ``workers`` chunks at once;
+    hashing, PageRank and the ranking stay on the calling thread.
+
     Returns the embedding and the hash matrix it was built from, which
     ``symbed embed --dump-hashes`` writes without hashing the graph again.
     """
     if cfg.mode == "fixed" and cfg.d > g.num_nodes:
         raise ValueError(f"d={cfg.d} exceeds the number of nodes {g.num_nodes}")
-    h, order = _hash_and_rank(g, cfg, workers, timings)
-    t0 = time.perf_counter()
-    prepared = _prepare_metric(h, cfg.metric)
     bins = cfg.resolved_bins
     sdf = cfg.mode == "sdf"
     # fixed mode knows its width, so it takes all d columns as one chunk and
     # never holds the chunks and their stacked copy at once
-    limit, step = (g.num_nodes, _COLUMN_CHUNK) if sdf else (cfg.d, cfg.d)
+    if not sdf:
+        limit, step = cfg.d, cfg.d
+    else:
+        limit = g.num_nodes
+        step = _PRODUCT_CHUNK if cfg.metric in ("cosine", "jaccard") else _COLUMN_CHUNK
     budget = g.num_nodes * cfg.budget_dim   # spent only in sdf mode
     kept: list[sp.csc_matrix] = []
     used = 0
-    while used < limit and budget >= 0:
-        cols = _metric_columns(h, order[used:used + step], cfg.metric, prepared)
-        if bins >= 2:
-            cols.data = _quantize_array(cols.data, bins)
-            cols.eliminate_zeros()
-        if sdf:
-            # column j enters while the budget left before it is >= 0
-            spent = np.cumsum(np.diff(cols.indptr))
-            take = 1 + int(np.searchsorted(spent[:-1], budget, side="right"))
-            cols = cols[:, :take]
-            budget -= int(spent[take - 1])
-        kept.append(cols)
-        used += cols.shape[1]
-    # free the prepared rows, and the chunks once stacked, so at most two
-    # copies of the values are held at once; the one conversion to CSR also
-    # sorts every row's indices
-    del prepared, cols
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        t0 = time.perf_counter()
+        h = hash_all(g, cfg.walk, workers=workers)
+        t1 = time.perf_counter()
+        if pool is not None:
+            prepared = pool.submit(_prepare_metric, h, cfg.metric)
+        order = rank_nodes(pagerank(g, cfg.pagerank)).order
+        t2 = time.perf_counter()
+        prepared = (_prepare_metric(h, cfg.metric) if pool is None
+                    else prepared.result())
+
+        def chunk(lo: int) -> sp.csc_matrix:
+            cols = _metric_columns(h, order[lo:lo + step], cfg.metric, prepared)
+            if bins >= 2:
+                cols.data = _quantize_array(cols.data, bins)
+                cols.eliminate_zeros()
+            return cols
+
+        starts = range(0, limit, step)
+        chunks = (map(chunk, starts) if pool is None
+                  else _in_order(pool, chunk, starts, workers))
+        for cols in chunks:
+            if sdf:
+                # column j enters while the budget left before it is >= 0
+                spent = np.cumsum(np.diff(cols.indptr))
+                take = 1 + int(np.searchsorted(spent[:-1], budget, side="right"))
+                cols = cols[:, :take]
+                budget -= int(spent[take - 1])
+            kept.append(cols)
+            used += cols.shape[1]
+            if budget < 0:
+                break
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    # free the prepared rows, the discarded chunks and, once stacked, the
+    # kept ones, so at most two copies of the values are held at once; the
+    # one conversion to CSR also sorts every row's indices
+    del prepared, cols, chunks
     m = sp.hstack(kept, format="csc") if len(kept) > 1 else kept[0]
     kept.clear()
     m = m.tocsr()
     if timings is not None:
-        timings["similarity"] = time.perf_counter() - t0
+        timings["walks+hash"] = t1 - t0
+        timings["pagerank"] = t2 - t1
+        timings["similarity"] = time.perf_counter() - t2
     return Embedding(matrix=m, ind=np.asarray(order[:used], dtype=np.int64),
                      config=_config_snapshot(cfg),
                      value_bits=16 if bins >= 2 else 32), h
@@ -300,7 +350,12 @@ def _embed(g: Graph, cfg: EmbeddingConfig, workers: int,
 
 def embed_fixed(g: Graph, cfg: EmbeddingConfig | None = None, *,
                 workers: int = 1, timings: dict | None = None) -> Embedding:
-    """Embedding with the top-d ranked nodes as columns."""
+    """Embedding with the top-d ranked nodes as columns.
+
+    ``workers`` threads hash the walks; with more than one, the metric's rows
+    are prepared while PageRank runs and the d columns, one chunk, are scored
+    on a pool thread.  The result is the same for any worker count.
+    """
     cfg = cfg or EmbeddingConfig()
     _check_mode(cfg, "fixed")
     return _embed(g, cfg, workers, timings)[0]
@@ -320,6 +375,10 @@ def embed_sdf(g: Graph, cfg: EmbeddingConfig | None = None, *,
     before the crossing one fit the bytes of a dense ``budget_dim / 2``-column
     32-bit matrix.  If fewer than ``num_nodes`` columns are taken, the budget
     was spent: the total exceeds ``num_nodes * budget_dim``.
+
+    ``workers`` threads hash the walks and then score up to ``workers``
+    column chunks at once; the budget is still applied in rank order, so the
+    result is the same for any worker count.
     """
     cfg = cfg or EmbeddingConfig(mode="sdf")
     _check_mode(cfg, "sdf")
@@ -424,19 +483,19 @@ def save_embedding(e: Embedding, out_dir) -> None:
 def load_embedding(in_dir) -> Embedding:
     """Read back an embedding triple written by save_embedding.
 
-    ``embedding.npz`` is read by ``scipy.sparse.load_npz``, which refuses
-    pickled (object) arrays.  A 16-bit embedding's matrix holds integer bin
-    codes ``K``; each value is ``K / bins``, with ``bins`` from the config
-    snapshot in ``config.json``.  A 32-bit embedding's float64 values are
-    read as written.
+    ``embedding.npz`` is read by ``np.load(..., allow_pickle=False)``, which
+    refuses pickled (object) arrays.  A 16-bit embedding's matrix holds
+    integer bin codes ``K``; each value is ``K / bins``, with ``bins`` from
+    the config snapshot in ``config.json``.  A 32-bit embedding's float64
+    values are read as written.
 
     Raises EmbeddingFormatError for another format version (re-run
     ``symbed embed`` to rewrite older files, such as version 2's Matrix
     Market matrices), a malformed ``config.json`` (naming the key), an
     unreadable feature map, or an ``embedding.npz`` that is unreadable, not
-    CSR, fails ``check_format(full_check=True)``, is not in canonical form,
-    or holds values of the wrong dtype: not integers at 16 bits, not float64
-    at 32.
+    CSR, stores ``indices`` or ``indptr`` as non-integers, fails
+    ``check_format(full_check=True)``, is not in canonical form, or holds
+    values of the wrong dtype: not integers at 16 bits, not float64 at 32.
     """
     src = Path(in_dir)
     cfg_path = src / CONFIG_FILE
@@ -485,9 +544,18 @@ def _read_matrix(path: Path, bins: int | None) -> sp.csr_matrix:
     """The CSR matrix save_embedding wrote, its values divided by ``bins``
     when given (16 bits); see load_embedding for what is refused."""
     try:
-        mat = sp.load_npz(path)
-        if mat.format != "csr":
-            raise ValueError(f"stored as {mat.format}, expected csr")
+        with np.load(path, allow_pickle=False) as npz:
+            fmt = npz["format"].item()
+            fmt = fmt.decode("ascii") if isinstance(fmt, bytes) else fmt
+            if fmt != "csr":
+                raise ValueError(f"stored as {fmt}, expected csr")
+            arrays = {key: npz[key] for key in ("data", "indices", "indptr", "shape")}
+        for key in ("indices", "indptr"):
+            if arrays[key].dtype.kind not in "iu":
+                raise ValueError(f"{key} stored as {arrays[key].dtype}, expected "
+                                 f"integers")
+        mat = sp.csr_matrix((arrays["data"], arrays["indices"], arrays["indptr"]),
+                            shape=tuple(arrays["shape"]))
         mat.check_format(full_check=True)
     except Exception as exc:
         raise EmbeddingFormatError(f"{path}: {exc}") from None

@@ -1,17 +1,24 @@
+import itertools
 import json
 import tempfile
+import threading
+import time
+import tracemalloc
 import zipfile
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.io import mmwrite
 
-from symbed.embedding import (Embedding, EmbeddingConfig, EmbeddingFormatError,
-                              _quantize_array, _read_feature_map,
+from symbed import embedding
+from symbed.embedding import (METRICS, Embedding, EmbeddingConfig,
+                              EmbeddingFormatError, _quantize_array,
+                              _read_feature_map,
                               compute_variances, embed_fixed, embed_sdf,
                               load_embedding, save_embedding)
 from symbed.evaluation import random_embedding
@@ -185,7 +192,7 @@ class TestSdfMode:
     @pytest.mark.parametrize("metric", ["cosine", "euclidean", "seuclidean",
                                         "canberra", "jaccard"])
     def test_fixed_is_prefix_of_generous_sdf(self, metric):
-        # k spans more than one 128-column chunk of the column path
+        # k spans more than one 128-column chunk of the distance metrics
         g = random_graph(300, 4, seed=17)
         k = 200
         fixed = embed_fixed(g, small_cfg(d=k, bins=0, metric=metric))
@@ -281,6 +288,161 @@ class TestSdfMode:
         g = random_graph(60, 6, seed=8)
         emb = embed_sdf(g, small_cfg("sdf", budget_dim=5, bins=0, metric="euclidean"))
         assert emb.num_columns <= 7
+
+
+WORKER_GRAPH = random_graph(40, 4, seed=5)
+
+
+def _worker_cfg(mode, metric, bins, budget_dim=1, d=1):
+    return small_cfg(mode, metric=metric, bins=bins, budget_dim=budget_dim, d=d)
+
+
+@lru_cache(maxsize=None)
+def _one_thread_embedding(mode, metric, bins, budget_dim=1, d=1):
+    """The embedding of WORKER_GRAPH on the calling thread, default chunks."""
+    embed = embed_sdf if mode == "sdf" else embed_fixed
+    return embed(WORKER_GRAPH, _worker_cfg(mode, metric, bins, budget_dim, d))
+
+
+def _embed_with(mode, workers, width, metric, bins, budget_dim=1, d=1):
+    """The same embedding on `workers` threads, every sdf chunk `width`
+    columns wide (None: the defaults)."""
+    embed = embed_sdf if mode == "sdf" else embed_fixed
+    with pytest.MonkeyPatch.context() as mp:
+        if width is not None:
+            mp.setattr(embedding, "_COLUMN_CHUNK", width)
+            mp.setattr(embedding, "_PRODUCT_CHUNK", width)
+        return embed(WORKER_GRAPH, _worker_cfg(mode, metric, bins, budget_dim, d),
+                     workers=workers)
+
+
+def _assert_same_bits(a, b):
+    for x, y in [(a.matrix.indptr, b.matrix.indptr), (a.matrix.indices, b.matrix.indices),
+                 (a.matrix.data, b.matrix.data), (a.ind, b.ind)]:
+        assert x.dtype == y.dtype
+        assert x.tobytes() == y.tobytes()
+    assert a.matrix.shape == b.matrix.shape
+
+
+class TestWorkerThreads:
+    """Chunks scored on worker threads give the single thread's bits, really
+    run at once, and leave no thread behind."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(workers=st.sampled_from([1, 2, 3]), width=st.sampled_from([1, 3, None]),
+           metric=st.sampled_from(METRICS), bins=st.sampled_from([0, 256]),
+           budget_dim=st.sampled_from([1, 2, 7, 40]))
+    @example(workers=3, width=1, metric="cosine", bins=256, budget_dim=1)
+    @example(workers=2, width=3, metric="euclidean", bins=0, budget_dim=1)
+    @example(workers=3, width=3, metric="jaccard", bins=256, budget_dim=40)
+    def test_sdf_same_bits_for_any_workers_and_chunk_width(
+            self, workers, width, metric, bins, budget_dim):
+        want = _one_thread_embedding("sdf", metric, bins, budget_dim)
+        if budget_dim == 1:
+            # the budget crosses inside the first chunk of width 3, and at
+            # width 1 with 3 workers later chunks are in flight and dropped
+            assert want.num_columns < 3
+        if budget_dim == 40:
+            # a generous budget takes every node
+            assert want.num_columns == WORKER_GRAPH.num_nodes
+        _assert_same_bits(_embed_with("sdf", workers, width, metric, bins,
+                                      budget_dim), want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(workers=st.sampled_from([1, 2, 3]), width=st.sampled_from([1, 3, None]),
+           metric=st.sampled_from(METRICS), bins=st.sampled_from([0, 256]),
+           d=st.sampled_from([1, 5, 40]))
+    def test_fixed_same_bits_for_any_workers(self, workers, width, metric, bins, d):
+        want = _one_thread_embedding("fixed", metric, bins, d=d)
+        _assert_same_bits(_embed_with("fixed", workers, width, metric, bins, d=d),
+                          want)
+
+    def _wrap_columns(self, monkeypatch, before_call):
+        """Run before_call(k) ahead of the k-th (0-based) _metric_columns call,
+        with sdf chunks of 4 columns."""
+        calls = itertools.count()
+        real = embedding._metric_columns
+
+        def wrapped(*args):
+            before_call(next(calls))
+            return real(*args)
+
+        monkeypatch.setattr(embedding, "_metric_columns", wrapped)
+        monkeypatch.setattr(embedding, "_PRODUCT_CHUNK", 4)
+
+    def test_chunks_run_concurrently(self, monkeypatch):
+        # one thread alone would wait at the barrier until it broke
+        barrier = threading.Barrier(2, timeout=10)
+        self._wrap_columns(monkeypatch, lambda k: k < 2 and barrier.wait())
+        threads = threading.active_count()
+        n = WORKER_GRAPH.num_nodes
+        got = embed_sdf(WORKER_GRAPH, _worker_cfg("sdf", "cosine", 256, budget_dim=n),
+                        workers=2)
+        assert not barrier.broken
+        assert got.num_columns == n
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("failing_call", [0, 1, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_chunk_error_propagates(self, monkeypatch, failing_call, workers):
+        error = RuntimeError("chunk failed")
+
+        def fail(k):
+            if k == failing_call:
+                raise error
+            if k == failing_call + 1:
+                # still running when the error arrives: its thread must end
+                # before embed_sdf returns
+                time.sleep(0.2)
+
+        self._wrap_columns(monkeypatch, fail)
+        threads = threading.active_count()
+        n = WORKER_GRAPH.num_nodes
+        with pytest.raises(RuntimeError) as info:
+            embed_sdf(WORKER_GRAPH, _worker_cfg("sdf", "cosine", 256, budget_dim=n),
+                      workers=workers)
+        assert info.value is error
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_at_most_workers_minus_one_chunks_discarded(self, monkeypatch, workers):
+        # chunks of one column, and the budget crosses in the second: a chunk
+        # starts only once the one `workers` places before it was taken
+        calls = []
+        self._wrap_columns(monkeypatch, calls.append)
+        monkeypatch.setattr(embedding, "_PRODUCT_CHUNK", 1)
+        got = embed_sdf(WORKER_GRAPH, _worker_cfg("sdf", "cosine", 256, budget_dim=1),
+                        workers=workers)
+        assert got.num_columns == 2
+        assert len(calls) <= got.num_columns + workers - 1
+
+    @pytest.mark.parametrize("metric", ["euclidean", "seuclidean"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_dense_metric_memory_bounded_by_workers_chunks(
+            self, monkeypatch, metric, workers):
+        # distance columns are dense: a chunk of c columns builds n x c float64
+        # arrays.  Each of the at most `workers` chunks in flight holds at most
+        # seven n x 128 float64 arrays at once (the product densified, the
+        # squared distances, their roots, the coordinates and values of the
+        # CSC conversion); the rest (the hash transpose, PageRank, a
+        # 3-column result) stays under the stated constant.  Chunks of 512
+        # columns, as cosine and jaccard take, would be about four times this.
+        n = 4000
+        g = random_graph(n, 4, seed=3)
+        cfg = small_cfg("sdf", budget_dim=2, metric=metric)
+        h = hash_all(g, cfg.walk)
+        monkeypatch.setattr(embedding, "hash_all", lambda *args, **kwargs: h)
+        tracemalloc.start()
+        try:
+            emb = embed_sdf(g, cfg, workers=workers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert emb.num_columns <= 3
+        chunk_bytes = 7 * n * 128 * 8
+        constant = 2 * 2**20
+        assert peak <= workers * chunk_bytes + constant, \
+            f"peak {peak} above {workers} x {chunk_bytes} + {constant}"
 
 
 class TestPersistence:
@@ -524,6 +686,12 @@ class TestPersistence:
          "not sorted and unique"),
         ({"data": np.ones(3, dtype=np.float32)}, "stored as float64.*float32"),
         ({"data": np.ones(3, dtype=np.int64)}, "stored as float64.*int64"),
+        # a cast to an index dtype would load 1.5 as 1 with no error
+        ({"indices": np.array([0.0, 1.5, 2.0])}, "indices stored as float64, expected int"),
+        ({"indices": np.array([0.0, 1.0, 2.0])}, "indices stored as float64, expected int"),
+        ({"indices": np.arange(3, dtype=np.complex128)}, "indices stored as complex128"),
+        ({"indptr": np.array([0.0, 1.0, 2.0, 3.0])}, "indptr stored as float64, expected int"),
+        ({"indptr": np.array([False, True, True, True])}, "indptr stored as bool"),
     ])
     def test_malformed_matrix_refused(self, tmp_path, arrays, message):
         directory = self._identity_with(tmp_path, **arrays)
