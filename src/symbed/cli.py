@@ -11,8 +11,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import reference
 from .embedding import (EmbeddingConfig, EmbeddingFormatError, _embed,
                         embed_fixed, embed_sdf, load_embedding, save_embedding)
@@ -21,7 +19,7 @@ from .evaluation import (ProtocolConfig, ProtocolError,
 from .graph import (GraphFormatError, LabelError, dataset_stats,
                     load_edge_list, load_labels)
 from .ranking import PageRankConfig, pagerank, rank_nodes
-from .walks import WalkConfig, dump_hashes
+from .walks import WalkConfig, _uniform_lengths, dump_hashes
 
 _DATA_ERRORS = (GraphFormatError, LabelError, EmbeddingFormatError,
                 ProtocolError, FileNotFoundError, IsADirectoryError)
@@ -35,10 +33,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _walk_config(args) -> WalkConfig:
-    probs = np.full(args.max_len, 1.0 / args.max_len)
-    return WalkConfig(length_probs=probs, num_walks=args.num_walks,
-                      epsilon=args.epsilon, seed=args.seed,
-                      weighted=getattr(args, "weighted", False))
+    if args.max_len < 1:
+        raise ValueError(f"--max-len must be >= 1, got {args.max_len}")
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    return WalkConfig(length_probs=_uniform_lengths(args.max_len),
+                      num_walks=args.num_walks, epsilon=args.epsilon,
+                      seed=args.seed, weighted=getattr(args, "weighted", False))
 
 
 def _pagerank_config(args) -> PageRankConfig:
@@ -107,11 +108,6 @@ def _load_graph(args):
     return load_edge_list(args.edges, directed=args.directed)
 
 
-def _print_timings(timings):
-    for stage, seconds in timings.items():
-        print(f"{stage}\t{seconds:.3f}", file=sys.stderr)
-
-
 def cmd_stats(args) -> int:
     g = _load_graph(args)
     labels = None
@@ -133,13 +129,13 @@ def cmd_rank(args) -> int:
 def cmd_embed(args) -> int:
     g = _load_graph(args)
     cfg = _embedding_config(args)
-    timings: dict = {}
-    emb, hashes = _embed(g, cfg, args.workers, timings)
+    emb, hashes, seconds = _embed(g, cfg, args.workers)
     if args.dump_hashes:
         dump_hashes(hashes, args.dump_hashes)
     del hashes
     save_embedding(emb, args.out)
-    _print_timings(timings)
+    for stage, t in seconds.items():
+        print(f"{stage}\t{t:.3f}", file=sys.stderr)
     print(f"embedding: {emb.num_nodes} x {emb.num_columns}, "
           f"{emb.nnz} stored values ({emb.value_bits}-bit)")
     return 0

@@ -3,17 +3,17 @@
 One column path serves both modes.  It walks the PageRank order in chunks
 of pivot columns, scores every node against each chunk's pivots, quantizes
 the chunk, and stops by the mode's rule: fixed mode after ``d`` columns
-(taken as one chunk), the budgeted ("sdf") mode once the ranked columns'
-total nonzero count exhausts ``num_nodes * budget_dim`` values (the column
-crossing the budget is kept).
+(the last chunk cut at ``d``), the budgeted ("sdf") mode once the ranked
+columns' total nonzero count exhausts ``num_nodes * budget_dim`` values (the
+column crossing the budget is kept).
 
 Chunks are column-major: a chunk is computed pivot-major, as the pivots'
 rows times a transpose of the node rows that is converted to CSR once, and
 that product's transpose is an ``n x chunk`` CSC block.  Quantization and
 the budget count work on the CSC blocks; the kept blocks are stacked as CSC
 and converted to CSR once at the end, which also sorts each row's indices.
-An sdf chunk is 512 columns wide for cosine and jaccard and 128 for the
-distance metrics, whose ``n x chunk`` dense block bounds their memory.
+In either mode a chunk is 512 columns wide for cosine and jaccard and 128
+for the distance metrics, whose ``n x chunk`` dense block bounds their memory.
 
 With ``workers > 1``, chunks are scored and quantized on a pool of that many
 threads, at most ``workers`` at once, while the calling thread takes their
@@ -68,7 +68,7 @@ MATRIX_FILE = "embedding.npz"
 FEATURE_MAP_FILE = "feature_map.tsv"
 CONFIG_FILE = "config.json"
 
-# pivot columns per sdf chunk of the column path: the distance metrics build
+# pivot columns per chunk of the column path: the distance metrics build
 # an n x chunk dense block, cosine and jaccard stay sparse and take wider
 # chunks, which cuts per-chunk overhead
 _COLUMN_CHUNK = 128
@@ -270,29 +270,26 @@ def _in_order(pool: ThreadPoolExecutor, fn, args, ahead: int):
         pending.extend(pool.submit(fn, a) for a in islice(args, 1))
 
 
-def _embed(g: Graph, cfg: EmbeddingConfig, workers: int,
-           timings: dict | None) -> tuple[Embedding, sp.csr_matrix]:
+def _embed(g: Graph, cfg: EmbeddingConfig, workers: int
+           ) -> tuple[Embedding, sp.csr_matrix, dict[str, float]]:
     """The column path: ranked pivot columns, scored and quantized a chunk at
     a time, until the rule of ``cfg.mode`` stops it.
 
     With ``workers > 1`` one pool of that many threads prepares the metric's
-    rows while PageRank runs and scores up to ``workers`` chunks at once;
-    hashing, PageRank and the ranking stay on the calling thread.
+    rows while PageRank runs and scores up to ``workers`` chunks at once, in
+    either mode; hashing, PageRank and the ranking stay on the calling thread.
 
-    Returns the embedding and the hash matrix it was built from, which
-    ``symbed embed --dump-hashes`` writes without hashing the graph again.
+    Returns the embedding, the hash matrix it was built from (which ``symbed
+    embed --dump-hashes`` writes without hashing the graph again) and the
+    seconds spent in the ``walks+hash``, ``pagerank`` and ``similarity``
+    stages.
     """
     if cfg.mode == "fixed" and cfg.d > g.num_nodes:
         raise ValueError(f"d={cfg.d} exceeds the number of nodes {g.num_nodes}")
     bins = cfg.resolved_bins
     sdf = cfg.mode == "sdf"
-    # fixed mode knows its width, so it takes all d columns as one chunk and
-    # never holds the chunks and their stacked copy at once
-    if not sdf:
-        limit, step = cfg.d, cfg.d
-    else:
-        limit = g.num_nodes
-        step = _PRODUCT_CHUNK if cfg.metric in ("cosine", "jaccard") else _COLUMN_CHUNK
+    limit = g.num_nodes if sdf else cfg.d
+    step = _PRODUCT_CHUNK if cfg.metric in ("cosine", "jaccard") else _COLUMN_CHUNK
     budget = g.num_nodes * cfg.budget_dim   # spent only in sdf mode
     kept: list[sp.csc_matrix] = []
     used = 0
@@ -309,7 +306,8 @@ def _embed(g: Graph, cfg: EmbeddingConfig, workers: int,
                     else prepared.result())
 
         def chunk(lo: int) -> sp.csc_matrix:
-            cols = _metric_columns(h, order[lo:lo + step], cfg.metric, prepared)
+            cols = _metric_columns(h, order[lo:min(lo + step, limit)], cfg.metric,
+                                   prepared)
             if bins >= 2:
                 cols.data = _quantize_array(cols.data, bins)
                 cols.eliminate_zeros()
@@ -339,30 +337,28 @@ def _embed(g: Graph, cfg: EmbeddingConfig, workers: int,
     m = sp.hstack(kept, format="csc") if len(kept) > 1 else kept[0]
     kept.clear()
     m = m.tocsr()
-    if timings is not None:
-        timings["walks+hash"] = t1 - t0
-        timings["pagerank"] = t2 - t1
-        timings["similarity"] = time.perf_counter() - t2
+    seconds = {"walks+hash": t1 - t0, "pagerank": t2 - t1,
+               "similarity": time.perf_counter() - t2}
     return Embedding(matrix=m, ind=np.asarray(order[:used], dtype=np.int64),
                      config=_config_snapshot(cfg),
-                     value_bits=16 if bins >= 2 else 32), h
+                     value_bits=16 if bins >= 2 else 32), h, seconds
 
 
 def embed_fixed(g: Graph, cfg: EmbeddingConfig | None = None, *,
-                workers: int = 1, timings: dict | None = None) -> Embedding:
+                workers: int = 1) -> Embedding:
     """Embedding with the top-d ranked nodes as columns.
 
-    ``workers`` threads hash the walks; with more than one, the metric's rows
-    are prepared while PageRank runs and the d columns, one chunk, are scored
-    on a pool thread.  The result is the same for any worker count.
+    ``workers`` threads hash the walks and then score up to ``workers``
+    column chunks at once, with the metric's rows prepared while PageRank
+    runs.  The result is the same for any worker count.
     """
     cfg = cfg or EmbeddingConfig()
     _check_mode(cfg, "fixed")
-    return _embed(g, cfg, workers, timings)[0]
+    return _embed(g, cfg, workers)[0]
 
 
 def embed_sdf(g: Graph, cfg: EmbeddingConfig | None = None, *,
-              workers: int = 1, timings: dict | None = None) -> Embedding:
+              workers: int = 1) -> Embedding:
     """Budgeted embedding: append ranked pivot columns while the budget holds.
 
     The budget is ``num_nodes * budget_dim`` stored values; the column that
@@ -382,7 +378,7 @@ def embed_sdf(g: Graph, cfg: EmbeddingConfig | None = None, *,
     """
     cfg = cfg or EmbeddingConfig(mode="sdf")
     _check_mode(cfg, "sdf")
-    return _embed(g, cfg, workers, timings)[0]
+    return _embed(g, cfg, workers)[0]
 
 
 def _is_int(x) -> bool:

@@ -108,6 +108,19 @@ class TestEmbed:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--max-len", 0), ("--max-len", -2),
+                                             ("--workers", 0), ("--workers", -1)])
+    def test_walk_flag_that_cannot_run_is_usage_error(self, dataset, tmp_path,
+                                                      capsys, flag, value):
+        edges, _ = dataset
+        out = tmp_path / "never"
+        assert run(["embed", "--edges", edges, "--out", out,
+                    "--num-walks", 8, "--dim", 4, flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("symbed embed: ") and flag in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_byte_identical_across_runs_and_workers(self, dataset, tmp_path):
         edges, _ = dataset
         for mode in ([], ["--sdf", "--budget-dim", 4]):

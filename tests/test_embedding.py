@@ -305,8 +305,8 @@ def _one_thread_embedding(mode, metric, bins, budget_dim=1, d=1):
 
 
 def _embed_with(mode, workers, width, metric, bins, budget_dim=1, d=1):
-    """The same embedding on `workers` threads, every sdf chunk `width`
-    columns wide (None: the defaults)."""
+    """The same embedding on `workers` threads, every chunk `width` columns
+    wide (None: the defaults)."""
     embed = embed_sdf if mode == "sdf" else embed_fixed
     with pytest.MonkeyPatch.context() as mp:
         if width is not None:
@@ -314,6 +314,14 @@ def _embed_with(mode, workers, width, metric, bins, budget_dim=1, d=1):
             mp.setattr(embedding, "_PRODUCT_CHUNK", width)
         return embed(WORKER_GRAPH, _worker_cfg(mode, metric, bins, budget_dim, d),
                      workers=workers)
+
+
+def _all_columns(mode, workers):
+    """WORKER_GRAPH's cosine embedding at 256 bins with every node a column."""
+    n = WORKER_GRAPH.num_nodes
+    embed = embed_sdf if mode == "sdf" else embed_fixed
+    return embed(WORKER_GRAPH, _worker_cfg(mode, "cosine", 256, budget_dim=n, d=n),
+                 workers=workers)
 
 
 def _assert_same_bits(a, b):
@@ -352,6 +360,7 @@ class TestWorkerThreads:
     @given(workers=st.sampled_from([1, 2, 3]), width=st.sampled_from([1, 3, None]),
            metric=st.sampled_from(METRICS), bins=st.sampled_from([0, 256]),
            d=st.sampled_from([1, 5, 40]))
+    @example(workers=2, width=3, metric="canberra", bins=0, d=5)
     def test_fixed_same_bits_for_any_workers(self, workers, width, metric, bins, d):
         want = _one_thread_embedding("fixed", metric, bins, d=d)
         _assert_same_bits(_embed_with("fixed", workers, width, metric, bins, d=d),
@@ -359,7 +368,7 @@ class TestWorkerThreads:
 
     def _wrap_columns(self, monkeypatch, before_call):
         """Run before_call(k) ahead of the k-th (0-based) _metric_columns call,
-        with sdf chunks of 4 columns."""
+        with cosine chunks of 4 columns."""
         calls = itertools.count()
         real = embedding._metric_columns
 
@@ -370,21 +379,24 @@ class TestWorkerThreads:
         monkeypatch.setattr(embedding, "_metric_columns", wrapped)
         monkeypatch.setattr(embedding, "_PRODUCT_CHUNK", 4)
 
-    def test_chunks_run_concurrently(self, monkeypatch):
+    def _assert_chunks_run_concurrently(self, monkeypatch, mode):
         # one thread alone would wait at the barrier until it broke
         barrier = threading.Barrier(2, timeout=10)
         self._wrap_columns(monkeypatch, lambda k: k < 2 and barrier.wait())
         threads = threading.active_count()
-        n = WORKER_GRAPH.num_nodes
-        got = embed_sdf(WORKER_GRAPH, _worker_cfg("sdf", "cosine", 256, budget_dim=n),
-                        workers=2)
+        got = _all_columns(mode, workers=2)
         assert not barrier.broken
-        assert got.num_columns == n
+        assert got.num_columns == WORKER_GRAPH.num_nodes
         assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("failing_call", [0, 1, 4])
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_chunk_error_propagates(self, monkeypatch, failing_call, workers):
+    def test_chunks_run_concurrently(self, monkeypatch):
+        self._assert_chunks_run_concurrently(monkeypatch, "sdf")
+
+    def test_fixed_chunks_run_concurrently(self, monkeypatch):
+        self._assert_chunks_run_concurrently(monkeypatch, "fixed")
+
+    def _assert_chunk_error_propagates(self, monkeypatch, mode, failing_call,
+                                       workers):
         error = RuntimeError("chunk failed")
 
         def fail(k):
@@ -392,17 +404,26 @@ class TestWorkerThreads:
                 raise error
             if k == failing_call + 1:
                 # still running when the error arrives: its thread must end
-                # before embed_sdf returns
+                # before the embedding call returns
                 time.sleep(0.2)
 
         self._wrap_columns(monkeypatch, fail)
         threads = threading.active_count()
-        n = WORKER_GRAPH.num_nodes
         with pytest.raises(RuntimeError) as info:
-            embed_sdf(WORKER_GRAPH, _worker_cfg("sdf", "cosine", 256, budget_dim=n),
-                      workers=workers)
+            _all_columns(mode, workers)
         assert info.value is error
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("failing_call", [0, 1, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_chunk_error_propagates(self, monkeypatch, failing_call, workers):
+        self._assert_chunk_error_propagates(monkeypatch, "sdf", failing_call, workers)
+
+    @pytest.mark.parametrize("failing_call", [0, 4])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fixed_chunk_error_propagates(self, monkeypatch, failing_call, workers):
+        self._assert_chunk_error_propagates(monkeypatch, "fixed", failing_call,
+                                            workers)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_at_most_workers_minus_one_chunks_discarded(self, monkeypatch, workers):
@@ -428,21 +449,52 @@ class TestWorkerThreads:
         # 3-column result) stays under the stated constant.  Chunks of 512
         # columns, as cosine and jaccard take, would be about four times this.
         n = 4000
-        g = random_graph(n, 4, seed=3)
         cfg = small_cfg("sdf", budget_dim=2, metric=metric)
-        h = hash_all(g, cfg.walk)
-        monkeypatch.setattr(embedding, "hash_all", lambda *args, **kwargs: h)
-        tracemalloc.start()
-        try:
-            emb = embed_sdf(g, cfg, workers=workers)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        emb, peak = _traced_peak(monkeypatch, embed_sdf, n, cfg, workers)
         assert emb.num_columns <= 3
         chunk_bytes = 7 * n * 128 * 8
         constant = 2 * 2**20
         assert peak <= workers * chunk_bytes + constant, \
             f"peak {peak} above {workers} x {chunk_bytes} + {constant}"
+
+    @pytest.mark.parametrize("metric, n, row_block", [
+        ("euclidean", 4000, 0), ("seuclidean", 4000, 0),
+        ("canberra", 2000, 2_000_000 * 8)])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fixed_dense_metric_memory_bounded_by_workers_chunks(
+            self, monkeypatch, metric, n, row_block, workers):
+        # fixed mode takes its d = 1024 columns in chunks of 128, the sdf
+        # test's seven n x 128 float64 arrays each, plus for canberra the
+        # row block of 2,000,000 densified hash coordinates it compares the
+        # pivots with.  The kept chunks and their stack, then the stack and
+        # its CSR copy, are two copies of the output at 12 bytes a stored
+        # value (float64 data, int32 indices).  All d columns as one chunk
+        # would hold seven n x d arrays.
+        d = 1024
+        cfg = small_cfg(d=d, metric=metric)
+        emb, peak = _traced_peak(monkeypatch, embed_fixed, n, cfg, workers)
+        assert emb.matrix.shape == (n, d)
+        chunk_bytes = 7 * n * 128 * 8 + row_block
+        output_bytes = 2 * 12 * emb.nnz
+        constant = 2 * 2**20
+        bound = workers * chunk_bytes + output_bytes + constant
+        assert peak <= bound, \
+            f"peak {peak} above {workers} x {chunk_bytes} + {output_bytes} + {constant}"
+
+
+def _traced_peak(monkeypatch, embed, n, cfg, workers):
+    """The embedding of ``random_graph(n, 4, seed=3)`` and the tracemalloc
+    peak of making it, with hashing done beforehand."""
+    g = random_graph(n, 4, seed=3)
+    h = hash_all(g, cfg.walk)
+    monkeypatch.setattr(embedding, "hash_all", lambda *args, **kwargs: h)
+    tracemalloc.start()
+    try:
+        emb = embed(g, cfg, workers=workers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return emb, peak
 
 
 class TestPersistence:
