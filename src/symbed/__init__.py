@@ -15,10 +15,10 @@ from .ranking import ConvergenceWarning, PageRankConfig, Ranking, pagerank, rank
 from .embedding import (METRICS, Embedding, EmbeddingConfig,
                         EmbeddingFormatError, compute_variances, embed_fixed,
                         embed_sdf, load_embedding, save_embedding)
-from .evaluation import (EvalReport, LogRegParams, ProtocolConfig,
-                         ProtocolError, label_propagation, logreg_loss_grad,
-                         micro_macro_f1, random_embedding, run_protocol,
-                         run_protocol_lp, topk_sets, train_logreg)
+from .evaluation import (EvalReport, ProtocolConfig, ProtocolError,
+                         label_propagation, logreg_loss_grad, micro_macro_f1,
+                         random_embedding, run_protocol, run_protocol_lp,
+                         topk_sets, train_logreg)
 from .synth import planted_partition, random_graph
 
 __version__ = "0.1.0"
@@ -32,7 +32,7 @@ __all__ = [
     "METRICS", "Embedding", "EmbeddingConfig", "EmbeddingFormatError",
     "compute_variances", "embed_fixed", "embed_sdf", "load_embedding",
     "save_embedding",
-    "EvalReport", "LogRegParams", "ProtocolConfig", "ProtocolError",
+    "EvalReport", "ProtocolConfig", "ProtocolError",
     "label_propagation", "logreg_loss_grad", "micro_macro_f1",
     "random_embedding", "run_protocol", "run_protocol_lp", "topk_sets",
     "train_logreg",

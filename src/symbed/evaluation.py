@@ -11,7 +11,7 @@ indicator matrices; the true one is ``LabelTable.indicator``, read as stored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,19 +24,6 @@ from .graph import Graph, LabelTable
 
 class ProtocolError(ValueError):
     """Degenerate protocol configuration (empty split, missing labels)."""
-
-
-@dataclass(frozen=True)
-class LogRegParams:
-    """One-vs-rest L2 logistic regression hyperparameters.
-
-    The objective is (sum of per-head log losses + reg_strength/2 * ||W||^2)
-    divided by the number of training rows; biases are unregularized.
-    """
-
-    reg_strength: float = 1.0
-    max_iter: int = 500
-    tol: float = 1e-6
 
 
 def logreg_loss_grad(theta: np.ndarray, X, Y: np.ndarray, reg: float):
@@ -57,10 +44,9 @@ def logreg_loss_grad(theta: np.ndarray, X, Y: np.ndarray, reg: float):
 class LogRegModel:
     """Trained one-vs-rest heads; classes absent from training predict 0."""
 
-    def __init__(self, W, b, num_classes, empty_classes):
+    def __init__(self, W, b, empty_classes):
         self.W = W
         self.b = b
-        self.num_classes = num_classes
         self.empty_classes = list(empty_classes)
 
     def predict_proba(self, X) -> np.ndarray:
@@ -68,32 +54,34 @@ class LogRegModel:
         return np.asarray(P)
 
 
-def train_logreg(X, Y: np.ndarray, params: LogRegParams | None = None) -> LogRegModel:
-    """Fit all binary heads jointly (the objective separates per head).
+def train_logreg(X, Y: np.ndarray) -> LogRegModel:
+    """Fit all one-vs-rest L2 logistic heads jointly with L-BFGS-B.
 
-    X: (n, d) array or CSR; Y: (n, num_classes) 0/1 indicators.  Heads whose
-    class has no positive training example are skipped and flagged; they
-    output probability 0, their empirical prior.
+    The objective is (sum of per-head log losses + 1/2 * ||W||^2) divided by
+    the number of training rows; biases are unregularized, and the objective
+    separates per head.  X: (n, d) array or CSR; Y: (n, num_classes) 0/1
+    indicators.  Heads whose class has no positive training example are
+    skipped and flagged; they output probability 0, their empirical prior.
     """
-    params = params or LogRegParams()
-    n, d = X.shape
+    d = X.shape[1]
     k = Y.shape[1]
     Y = np.asarray(Y, dtype=np.float64)
-    active = np.flatnonzero(Y.sum(axis=0) > 0)
-    empty = [int(c) for c in range(k) if c not in set(active.tolist())]
+    present = Y.sum(axis=0) > 0
+    active = np.flatnonzero(present)
+    empty = np.flatnonzero(~present).tolist()
     W = np.zeros((d, k))
     b = np.full(k, -np.inf)
     if len(active):
         Ya = Y[:, active]
         ka = len(active)
         x0 = np.zeros(d * ka + ka)
-        fun = lambda t: logreg_loss_grad(t, X, Ya, params.reg_strength)
+        fun = lambda t: logreg_loss_grad(t, X, Ya, 1.0)
         theta = minimize(fun, x0, jac=True, method="L-BFGS-B",
-                         options={"maxiter": params.max_iter,
-                                  "gtol": params.tol, "ftol": 1e-12}).x
+                         options={"maxiter": 500, "gtol": 1e-6,
+                                  "ftol": 1e-12}).x
         W[:, active] = theta[:d * ka].reshape(d, ka)
         b[active] = theta[d * ka:]
-    return LogRegModel(W, b, k, empty)
+    return LogRegModel(W, b, empty)
 
 
 def topk_sets(P: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -131,7 +119,6 @@ class ProtocolConfig:
     shuffles: int = 10
     repetitions: int = 10
     seed: int = 0
-    classifier: LogRegParams = field(default_factory=LogRegParams)
 
     def __post_init__(self):
         if not self.train_fractions:
@@ -259,7 +246,7 @@ def run_protocol(embedding: Embedding | None, labels: LabelTable,
 
         def predict(train, test):
             nonlocal empty_class_runs
-            model = train_logreg(X[train], labels.indicator[train], cfg.classifier)
+            model = train_logreg(X[train], labels.indicator[train])
             if model.empty_classes:
                 empty_class_runs += 1
             return topk_sets(model.predict_proba(X[test]), labels_k[test])
@@ -272,12 +259,12 @@ def run_protocol(embedding: Embedding | None, labels: LabelTable,
 
 
 def label_propagation(g: Graph, labels: LabelTable, train_nodes,
-                      alpha: float = 0.9, tol: float = 1e-6,
-                      max_iters: int = 1000) -> np.ndarray:
+                      alpha: float = 0.9) -> np.ndarray:
     """Spread training labels over the normalized adjacency until fixed.
 
     Iterates F <- alpha * S @ F + (1 - alpha) * Y with S the symmetrically
-    normalized (symmetrized) adjacency and Y the train indicator rows, then
+    normalized (symmetrized) adjacency and Y the train indicator rows, at
+    most 1000 times and until the L1 change drops below 1e-6, then
     predicts the top-k_i classes per node as a boolean ``num_nodes x
     num_classes`` indicator.  Nodes no diffusion reaches get the globally
     most frequent training classes, ties to the lower class id.  Raises
@@ -301,9 +288,9 @@ def label_propagation(g: Graph, labels: LabelTable, train_nodes,
     Y = np.zeros((n, k))
     Y[train_nodes] = labels.indicator[train_nodes]
     F = Y.copy()
-    for _ in range(max_iters):
+    for _ in range(1000):
         nxt = alpha * (S @ F) + (1.0 - alpha) * Y
-        if np.abs(nxt - F).sum() < tol:
+        if np.abs(nxt - F).sum() < 1e-6:
             F = nxt
             break
         F = nxt

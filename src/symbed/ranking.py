@@ -35,9 +35,7 @@ def _transition_matrix(g: Graph) -> sp.csr_matrix:
     """Column-stochastic C with C[v, u] = (arcs u->v) / out_degree(u)."""
     deg = g.out_degrees.astype(np.float64)
     src = np.repeat(np.arange(g.num_nodes, dtype=np.int64), g.out_degrees)
-    data = np.zeros(g.num_edges)
-    nz = deg[src] > 0
-    data[nz] = 1.0 / deg[src[nz]]
+    data = 1.0 / deg[src]  # src lists u once per out-arc, so deg[u] >= 1
     return sp.coo_matrix((data, (g.targets, src)),
                          shape=(g.num_nodes, g.num_nodes)).tocsr()
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.io import mmwrite
 
-from symbed import embedding
+from symbed import embedding, walks
 from symbed.embedding import (METRICS, Embedding, EmbeddingConfig,
                               EmbeddingFormatError, _quantize_array,
                               _read_feature_map,
@@ -394,6 +394,19 @@ class TestWorkerThreads:
 
     def test_fixed_chunks_run_concurrently(self, monkeypatch):
         self._assert_chunks_run_concurrently(monkeypatch, "fixed")
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize("run", [
+        lambda w: hash_all(WORKER_GRAPH, WalkConfig(), workers=w),
+        lambda w: _all_columns("fixed", w), lambda w: _all_columns("sdf", w)],
+        ids=["hash_all", "embed_fixed", "embed_sdf"])
+    def test_workers_below_one_rejected(self, monkeypatch, run, workers):
+        def started(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(walks, "_sink_arcs", started)
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run(workers)
 
     def _assert_chunk_error_propagates(self, monkeypatch, mode, failing_call,
                                        workers):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symbed.evaluation
-from symbed.evaluation import (EvalReport, LogRegModel, LogRegParams,
-                               ProtocolConfig, ProtocolError, label_propagation,
+from symbed.evaluation import (EvalReport, LogRegModel, ProtocolConfig,
+                               ProtocolError, label_propagation,
                                logreg_loss_grad, micro_macro_f1,
                                random_embedding, run_protocol, run_protocol_lp,
                                topk_sets, train_logreg)
@@ -73,7 +73,7 @@ def gradient_descent_oracle(X, Y, reg=1.0, max_iter=500, tol=1e-6):
         x, loss, grad = cand, new_loss, new_grad
         history.append(loss)
         step *= 2.0
-    return LogRegModel(x[:d * k].reshape(d, k), x[d * k:], k, []), history
+    return LogRegModel(x[:d * k].reshape(d, k), x[d * k:], []), history
 
 
 def f1_confusion_oracle(predicted, truth, nodes):
@@ -153,6 +153,16 @@ class TestTrainLogreg:
         assert model.empty_classes == [2]
         assert np.all(model.predict_proba(X)[:, 2] == 0.0)
 
+    def test_empty_classes_apart_flagged_and_predict_zero(self):
+        X = np.random.default_rng(0).random((12, 3))
+        Y = np.zeros((12, 5))
+        Y[:4, 0] = 1
+        Y[4:8, 2] = 1
+        Y[8:, 4] = 1   # classes 1 and 3 never appear
+        model = train_logreg(X, Y)
+        assert model.empty_classes == [1, 3]
+        assert np.all(model.predict_proba(X)[:, [1, 3]] == 0.0)
+
     def test_gd_solver_loss_non_increasing(self):
         rng = np.random.default_rng(8)
         X = rng.random((30, 4))
@@ -175,7 +185,7 @@ class TestTrainLogreg:
             return scipy.optimize.minimize(fun, x0, callback=record, **kwargs)
 
         monkeypatch.setattr(symbed.evaluation, "minimize", minimize)
-        train_logreg(X, Y, LogRegParams())
+        train_logreg(X, Y)
         hist = np.array(losses)
         assert len(hist) > 2
         assert np.all(np.diff(hist) <= 1e-12)
@@ -184,7 +194,7 @@ class TestTrainLogreg:
         rng = np.random.default_rng(10)
         X = rng.random((50, 3))
         Y = (X[:, :1] + 0.3 * rng.random((50, 1)) > 0.7).astype(float)
-        a = train_logreg(X, Y, LogRegParams())
+        a = train_logreg(X, Y)
         b, _ = gradient_descent_oracle(X, Y, max_iter=5000)
         np.testing.assert_allclose(a.W, b.W, atol=1e-3)
 
