@@ -11,7 +11,7 @@ from .graph import (DatasetStats, Graph, GraphFormatError, LabelError,
                     LabelTable, connected_components, dataset_stats,
                     from_arcs, load_edge_list, load_labels, write_edge_list)
 from .walks import WalkConfig, dump_hashes, hash_all, walk_lengths
-from .ranking import ConvergenceWarning, PageRankConfig, Ranking, pagerank, rank_nodes
+from .ranking import ConvergenceWarning, PageRankConfig, pagerank, rank_nodes
 from .embedding import (METRICS, Embedding, EmbeddingConfig,
                         EmbeddingFormatError, compute_variances, embed_fixed,
                         embed_sdf, load_embedding, save_embedding)
@@ -28,7 +28,7 @@ __all__ = [
     "connected_components", "dataset_stats", "from_arcs", "load_edge_list",
     "load_labels", "write_edge_list",
     "WalkConfig", "dump_hashes", "hash_all", "walk_lengths",
-    "ConvergenceWarning", "PageRankConfig", "Ranking", "pagerank", "rank_nodes",
+    "ConvergenceWarning", "PageRankConfig", "pagerank", "rank_nodes",
     "METRICS", "Embedding", "EmbeddingConfig", "EmbeddingFormatError",
     "compute_variances", "embed_fixed", "embed_sdf", "load_embedding",
     "save_embedding",

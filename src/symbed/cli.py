@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import reference
-from .embedding import (EmbeddingConfig, EmbeddingFormatError, _embed,
+from .embedding import (METRICS, EmbeddingConfig, EmbeddingFormatError, _embed,
                         embed_fixed, embed_sdf, load_embedding, save_embedding)
 from .evaluation import (ProtocolConfig, ProtocolError,
                          random_embedding, run_protocol, run_protocol_lp)
@@ -75,8 +75,7 @@ def _add_embed_flags(p):
                    help="sdf budget in equivalent dense columns")
     p.add_argument("--bins", type=int, default=None,
                    help="quantization bins (0 disables; default: 0 fixed / 256 sdf)")
-    p.add_argument("--metric", default="cosine",
-                   choices=["cosine", "euclidean", "seuclidean", "canberra", "jaccard"])
+    p.add_argument("--metric", default="cosine", choices=METRICS)
 
 
 def _add_pagerank_flags(p):
@@ -120,9 +119,9 @@ def cmd_stats(args) -> int:
 
 def cmd_rank(args) -> int:
     g = _load_graph(args)
-    ranking = rank_nodes(pagerank(g, _pagerank_config(args)))
-    for node in ranking.order:
-        print(f"{node}\t{ranking.scores[node]:.10f}")
+    scores = pagerank(g, _pagerank_config(args))
+    for node in rank_nodes(scores):
+        print(f"{node}\t{scores[node]:.10f}")
     return 0
 
 

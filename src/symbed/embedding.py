@@ -292,7 +292,6 @@ def _embed(g: Graph, cfg: EmbeddingConfig, workers: int
     step = _PRODUCT_CHUNK if cfg.metric in ("cosine", "jaccard") else _COLUMN_CHUNK
     budget = g.num_nodes * cfg.budget_dim   # spent only in sdf mode
     kept: list[sp.csc_matrix] = []
-    used = 0
     # no pool at one worker: a one-thread pool in its place raised
     # protocol-cora's peak RSS by about 9 MB and its wall time by about 10%
     # (2-vCPU machine), likely as the pool thread's own malloc arena keeps
@@ -304,7 +303,7 @@ def _embed(g: Graph, cfg: EmbeddingConfig, workers: int
         t1 = time.perf_counter()
         if pool is not None:
             prepared = pool.submit(_prepare_metric, h, cfg.metric)
-        order = rank_nodes(pagerank(g, cfg.pagerank)).order
+        order = rank_nodes(pagerank(g, cfg.pagerank))
         t2 = time.perf_counter()
         prepared = (_prepare_metric(h, cfg.metric) if pool is None
                     else prepared.result())
@@ -328,7 +327,6 @@ def _embed(g: Graph, cfg: EmbeddingConfig, workers: int
                 cols = cols[:, :take]
                 budget -= int(spent[take - 1])
             kept.append(cols)
-            used += cols.shape[1]
             if budget < 0:
                 break
     finally:
@@ -343,7 +341,7 @@ def _embed(g: Graph, cfg: EmbeddingConfig, workers: int
     m = m.tocsr()
     seconds = {"walks+hash": t1 - t0, "pagerank": t2 - t1,
                "similarity": time.perf_counter() - t2}
-    return Embedding(matrix=m, ind=np.asarray(order[:used], dtype=np.int64),
+    return Embedding(matrix=m, ind=order[:m.shape[1]],
                      config=_config_snapshot(cfg),
                      value_bits=16 if bins >= 2 else 32), h, seconds
 

@@ -6,7 +6,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -60,19 +60,9 @@ class Graph:
         """Directed arc count (each undirected edge is two arcs)."""
         return int(self.offsets[-1])
 
-    def out_degree(self, n: int) -> int:
-        if not 0 <= n < self.num_nodes:
-            raise IndexError(f"node id {n} out of range [0, {self.num_nodes})")
-        return int(self.offsets[n + 1] - self.offsets[n])
-
     @property
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
-
-    def neighbors(self, n: int) -> np.ndarray:
-        if not 0 <= n < self.num_nodes:
-            raise IndexError(f"node id {n} out of range [0, {self.num_nodes})")
-        return self.targets[self.offsets[n]:self.offsets[n + 1]]
 
     def adjacency(self) -> sp.csr_matrix:
         """Arc-multiplicity adjacency matrix (parallel arcs sum)."""
@@ -209,13 +199,18 @@ def write_edge_list(g: Graph, path) -> None:
     """Write a Graph back to edge-list form loadable with the same flag.
 
     Directed graphs emit one line per arc.  Undirected graphs emit one line
-    per symmetric arc pair, and one line per two stored self-loop arcs.
+    per symmetric arc pair, and one line per two stored self-loop arcs.  A
+    node's weighted self-loop arcs are paired by weight, since the two
+    halves of its loops may be stored interleaved (``[a, b, a, b]``).
     """
     src = np.repeat(np.arange(g.num_nodes, dtype=np.int64), g.out_degrees)
     keep = np.ones(g.num_edges, dtype=bool)
     if not g.directed:
         keep = src < g.targets
         loops = np.flatnonzero(src == g.targets)
+        if g.weights is not None:
+            bits = g.weights[loops].view(np.uint64)
+            loops = loops[np.lexsort((bits, src[loops]))]
         if len(loops):
             s = src[loops]
             rank = np.arange(len(s)) - np.searchsorted(s, s, side="left")
@@ -349,9 +344,7 @@ class DatasetStats:
     dead_ends: int   # nodes without out-arcs, where a random walk stops early
 
     def to_json(self) -> str:
-        return json.dumps({"nodes": self.nodes, "edges": self.edges,
-                           "components": self.components, "classes": self.classes,
-                           "dead_ends": self.dead_ends})
+        return json.dumps(asdict(self))
 
 
 def dataset_stats(g: Graph, labels: LabelTable | None = None) -> DatasetStats:

@@ -85,20 +85,6 @@ def pagerank(g: Graph, cfg: PageRankConfig | None = None, *,
     return (r, converged) if return_converged else r
 
 
-@dataclass(frozen=True)
-class Ranking:
-    """Scores plus the node order sorted by descending score (ties by id)."""
-
-    scores: np.ndarray
-    order: np.ndarray
-
-    def __post_init__(self):
-        if len(self.order) != len(self.scores):
-            raise ValueError("order must be a permutation of all node ids")
-
-
-def rank_nodes(scores: np.ndarray) -> Ranking:
-    """Stable descending sort of scores; equal scores break by ascending id."""
-    scores = np.asarray(scores, dtype=np.float64)
-    order = np.argsort(-scores, kind="stable")
-    return Ranking(scores=scores, order=order)
+def rank_nodes(scores: np.ndarray) -> np.ndarray:
+    """Node ids by descending score; equal scores break by ascending id."""
+    return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")

@@ -65,10 +65,6 @@ class WalkConfig:
     def max_len(self) -> int:
         return len(self.length_probs)
 
-    @property
-    def mean_len(self) -> float:
-        return float(np.dot(self.length_probs, np.arange(1, self.max_len + 1)))
-
 
 def walk_lengths(cfg: WalkConfig) -> np.ndarray:
     """The shared per-walk length array: sampled once, reused by every node."""

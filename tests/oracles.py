@@ -17,6 +17,8 @@ the slow, direct versions that pin it:
 - ``from_arcs_oracle`` orders arcs by a two-key ``lexsort`` and pins the
   packed-key sort of ``symbed.graph.from_arcs``: the same ``offsets``,
   ``targets`` and ``weights``, bit for bit.
+- ``neighbors`` reads one node's out-arc targets from the CSR arrays, for
+  the dense per-node oracles and the graph tests.
 
 They share the library's stream keys (``stream_key``, ``uniform_at``), its
 walk-length array (``walk_lengths``) and its arc-weight sums
@@ -222,6 +224,11 @@ def topk_sets_oracle(P: np.ndarray, ks) -> list[frozenset[int]]:
     """Row-wise top-k_i class sets with ascending-id tie-breaks."""
     order = np.argsort(-P, axis=1, kind="stable")
     return [frozenset(int(c) for c in order[i, :ks[i]]) for i in range(len(ks))]
+
+
+def neighbors(g: Graph, u: int) -> np.ndarray:
+    """Targets of node u's out-arcs, one per arc, in CSR order."""
+    return g.targets[g.offsets[u]:g.offsets[u + 1]]
 
 
 def from_arcs_oracle(num_nodes, src, dst, weights=None, directed=True) -> Graph:

@@ -260,7 +260,7 @@ class TestScaling:
             g = random_graph(10_000, 5, seed=42)
             H = hash_all(g, WalkConfig(num_walks=256, epsilon=0.005, seed=1))
             prepared = _prepare_metric(H, "cosine")
-            order = rank_nodes(pagerank(g)).order
+            order = rank_nodes(pagerank(g))
             ratio, t1, t2 = self._ratio(
                 lambda d: [_metric_columns(H, order[:d], "cosine", prepared)
                            for _ in range(20)], 1024, 2048)

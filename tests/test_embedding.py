@@ -174,7 +174,7 @@ class TestFixedMode:
         g = random_graph(40, 4, seed=13)
         cfg = small_cfg(d=8)
         emb = embed_fixed(g, cfg)
-        order = rank_nodes(pagerank(g, cfg.pagerank)).order
+        order = rank_nodes(pagerank(g, cfg.pagerank))
         assert emb.ind.tolist() == order[:8].tolist()
 
 
@@ -215,6 +215,16 @@ class TestSdfMode:
     def test_budget_dim_zero_rejected(self):
         with pytest.raises(ValueError):
             EmbeddingConfig(mode="sdf", budget_dim=0)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"mode": "dense"}, "mode must be 'fixed' or 'sdf', got 'dense'"),
+        ({"d": 0}, "d must be >= 1"),
+        ({"bins": 1}, r"bins must be 0 \(disabled\) or >= 2"),
+        ({"metric": "cityblock"}, "unknown metric 'cityblock'"),
+    ])
+    def test_config_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            EmbeddingConfig(**kwargs)
 
     def test_budget_dim_one_returns_at_least_one_column(self):
         g = random_graph(25, 4, seed=2)
@@ -854,6 +864,20 @@ class TestPersistence:
         with pytest.raises(EmbeddingFormatError,
                            match="embedding.npz: 16-bit values are stored as integer "
                                  "bin codes, this file holds float64"):
+            load_embedding(tmp_path / "e")
+
+    def test_invalid_json_config_rejected(self, tmp_path):
+        (self._saved(tmp_path) / "config.json").write_text('{"shape": [20,\n')
+        with pytest.raises(EmbeddingFormatError, match="config.json: not valid JSON"):
+            load_embedding(tmp_path / "e")
+
+    def test_recorded_shape_mismatch_rejected(self, tmp_path):
+        cfg_file = self._saved(tmp_path) / "config.json"
+        meta = json.loads(cfg_file.read_text())
+        meta["shape"] = [20, 9]
+        cfg_file.write_text(json.dumps(meta))
+        with pytest.raises(EmbeddingFormatError,
+                           match=r"matrix shape \(20, 10\) does not match recorded \[20, 9\]"):
             load_embedding(tmp_path / "e")
 
     def test_non_object_config_rejected(self, tmp_path):

@@ -333,6 +333,36 @@ class TestProtocol:
         with pytest.raises(ValueError, match="empty"):
             ProtocolConfig(train_fractions=())
 
+    @pytest.mark.parametrize("kwargs", [{"shuffles": 0}, {"repetitions": 0}])
+    def test_count_validation(self, kwargs):
+        with pytest.raises(ValueError, match="shuffles and repetitions must be >= 1"):
+            ProtocolConfig(**kwargs)
+
+    def test_needs_embedding_or_factory(self):
+        labels = label_table([{0}, {1}, {0}, {1}], 2)
+        with pytest.raises(ProtocolError,
+                           match="need an embedding or an embedding factory"):
+            run_protocol(None, labels, ProtocolConfig(train_fractions=(0.5,)))
+
+    def test_empty_train_class_runs_counted(self):
+        # class 1 is held by node 0 alone, so a cell's training split lacks
+        # it exactly when the split misses node 0; class 0 is on every other
+        # node and always trains
+        n = 30
+        labels = label_table([{1}] + [{0}] * (n - 1), 2)
+        cfg = ProtocolConfig(train_fractions=(0.1, 0.5, 0.9), shuffles=4,
+                             repetitions=2, seed=7)
+        misses = 0
+        for rep in range(cfg.repetitions):
+            for sh in range(cfg.shuffles):
+                rng = np.random.default_rng([cfg.seed, rep, sh])
+                for frac in cfg.train_fractions:
+                    perm = rng.permutation(np.arange(n))
+                    misses += 0 not in perm[:int(frac * n)]
+        assert 0 < misses < cfg.repetitions * cfg.shuffles * len(cfg.train_fractions)
+        report = run_protocol(random_embedding(n, 8, 1), labels, cfg)
+        assert report.flags["runs_with_empty_train_class"] == misses
+
     def test_split_too_small_errors(self):
         labels = label_table([{0}, {1}, {0}], 2)
         emb = random_embedding(3, 4, 0)

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symbed.graph import (_MAX_NODES, DatasetStats, GraphFormatError,
+from symbed.graph import (_MAX_NODES, DatasetStats, Graph, GraphFormatError,
                           LabelError, LabelTable, connected_components,
                           dataset_stats, from_arcs, load_edge_list,
                           load_labels, write_edge_list)
 
 from conftest import require_dataset
-from oracles import from_arcs_oracle
+from oracles import from_arcs_oracle, neighbors
 
 
 def _write(tmp_path, text, name="edges.tsv"):
@@ -27,12 +27,12 @@ class TestLoadEdgeList:
         g = load_edge_list(_write(tmp_path, "0\t1\n"), directed=True)
         assert g.num_nodes == 2
         assert g.num_edges == 1
-        assert list(g.neighbors(0)) == [1]
+        assert list(neighbors(g, 0)) == [1]
 
     def test_undirected_produces_both_arcs(self, tmp_path):
         g = load_edge_list(_write(tmp_path, "0\t1\n"), directed=False)
         assert g.num_edges == 2
-        assert list(g.neighbors(1)) == [0]
+        assert list(neighbors(g, 1)) == [0]
 
     def test_malformed_line_reports_number(self, tmp_path):
         with pytest.raises(GraphFormatError, match=":1"):
@@ -60,6 +60,15 @@ class TestLoadEdgeList:
         with pytest.raises(GraphFormatError, match="negative weight"):
             load_edge_list(_write(tmp_path, "0\t1\t-2.0\n"))
 
+    @pytest.mark.parametrize("text,message", [
+        ("0\t1\n-1\t2\n", r"edges\.tsv:2: negative node id"),
+        ("0\t1\t0.5\n1\t2\theavy\n",
+         r"edges\.tsv:2: weight must be a number, got 'heavy'"),
+    ])
+    def test_bad_field_reports_line(self, tmp_path, text, message):
+        with pytest.raises(GraphFormatError, match=message):
+            load_edge_list(_write(tmp_path, text))
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(GraphFormatError, match="no edges"):
             load_edge_list(_write(tmp_path, "# only a comment\n\n"))
@@ -67,8 +76,8 @@ class TestLoadEdgeList:
     def test_duplicates_and_self_loops_kept(self, tmp_path):
         g = load_edge_list(_write(tmp_path, "0\t1\n0\t1\n2\t2\n"), directed=True)
         assert g.num_edges == 3
-        assert list(g.neighbors(0)) == [1, 1]
-        assert list(g.neighbors(2)) == [2]
+        assert list(neighbors(g, 0)) == [1, 1]
+        assert list(neighbors(g, 2)) == [2]
 
     def test_weights_parsed(self, tmp_path):
         g = load_edge_list(_write(tmp_path, "0\t1\t0.5\n1\t0\t2\n"), directed=True)
@@ -109,6 +118,32 @@ class TestRoundTrip:
         write_edge_list(g, path)
         g2 = load_edge_list(path, directed=False)
         assert g2.num_edges == 6
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 7), directed=st.booleans())
+    def test_weighted_arcs_round_trip(self, data, n, directed):
+        # undirected halves concatenated, as random_graph builds them, store
+        # a node's loops of weights a and b as [a, b, a, b]
+        ids = st.integers(0, n - 1)
+        edges = data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=12))
+        weight = st.one_of(st.sampled_from([0.0, 1.0, 2.0]),
+                           st.floats(0.0, 1e300, allow_subnormal=True))
+        w = np.array(data.draw(st.lists(weight, min_size=len(edges),
+                                        max_size=len(edges))))
+        src, dst = (np.array(c) for c in zip(*edges))
+        if not directed:
+            src, dst, w = np.r_[src, dst], np.r_[dst, src], np.r_[w, w]
+        g = from_arcs(n, src, dst, w, directed=directed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "w.tsv")
+            write_edge_list(g, path)
+            g2 = load_edge_list(path, directed=directed)
+
+        def triples(h):
+            s = np.repeat(np.arange(h.num_nodes), h.out_degrees)
+            return sorted(zip(s.tolist(), h.targets.tolist(),
+                              h.weights.view(np.uint64).tolist()))
+        assert triples(g2) == triples(g)
 
 
 @st.composite
@@ -161,6 +196,23 @@ class TestFromArcs:
         # packed as src * 3 + dst, (0, 3) would alias to the valid arc (1, 0)
         with pytest.raises(ValueError, match=f"{end} node id out of range"):
             from_arcs(3, src, dst)
+
+    @pytest.mark.parametrize("offsets,targets,weights,message", [
+        ([0, 1], [1], None, "offsets length must be num_nodes \\+ 1"),
+        ([1, 1, 1], [], None, "offsets must be nondecreasing and start at 0"),
+        ([0, 2, 1], [1], None, "offsets must be nondecreasing and start at 0"),
+        ([0, 1, 2], [1], None, r"offsets\[-1\] must equal the arc count"),
+        ([0, 1, 1], [2], None, "target node id out of range"),
+        ([0, 1, 1], [1], [1.0, 2.0], "one weight per arc required"),
+        ([0, 1, 1], [1], [-1.0], "negative arc weight"),
+    ])
+    def test_graph_refuses_inconsistent_arrays(self, offsets, targets, weights,
+                                               message):
+        with pytest.raises(ValueError, match=message):
+            Graph(num_nodes=2, offsets=np.array(offsets, dtype=np.int64),
+                  targets=np.array(targets, dtype=np.int64),
+                  weights=None if weights is None else np.array(weights),
+                  directed=True)
 
     def test_node_count_beyond_packed_key_bound(self):
         assert _MAX_NODES == 3_037_000_499
@@ -260,6 +312,15 @@ class TestLoadLabels:
         with pytest.raises(LabelError, match=message):
             load_labels(_write(tmp_path, text, "l.tsv"), num_nodes=3)
 
+    @pytest.mark.parametrize("text,message", [
+        ("0\t1\n1 0\n", r"l\.tsv:2: expected 'node<TAB>class\[,class\.\.\.\]'"),
+        ("0\t1\n1\t0\t2\n", r"l\.tsv:2: expected 'node<TAB>class"),
+        ("0\t1\nx\t0\n", r"l\.tsv:2: node id must be an integer"),
+    ])
+    def test_malformed_line_reports_line(self, tmp_path, text, message):
+        with pytest.raises(LabelError, match=message):
+            load_labels(_write(tmp_path, text, "l.tsv"), num_nodes=3)
+
     def test_table_rejects_other_arrays(self):
         with pytest.raises(LabelError, match="2-d bool"):
             LabelTable(np.array([True, False]))
@@ -305,19 +366,15 @@ class TestLoadLabels:
 
 class TestDegreesAndComponents:
     def test_star_center_degree(self, star4):
-        assert star4.out_degree(0) == 3
+        assert star4.out_degrees[0] == 3
 
     def test_isolated_degree(self):
         g = from_arcs(3, [0], [1], directed=True)
-        assert g.out_degree(2) == 0
+        assert g.out_degrees[2] == 0
 
     def test_path_middle_degree(self, path3):
         # hand-built CSR: arcs (0,1) (1,0) (1,2) (2,1) -> node 1 has 2 out-arcs
-        assert path3.out_degree(1) == 2
-
-    def test_degree_out_of_range(self, path3):
-        with pytest.raises(IndexError):
-            path3.out_degree(3)
+        assert path3.out_degrees[1] == 2
 
     def test_degree_sum_equals_arc_count(self):
         rng = np.random.default_rng(3)

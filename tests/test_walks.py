@@ -36,12 +36,22 @@ class TestWalkConfig:
         with pytest.raises(ValueError):
             WalkConfig(epsilon=1.0)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"length_probs": np.array([[1.0]])}, "length_probs must be a nonempty 1-d"),
+        ({"length_probs": np.array([])}, "length_probs must be a nonempty 1-d"),
+        ({"num_walks": 0}, "num_walks must be >= 1"),
+    ])
+    def test_settings_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            WalkConfig(**kwargs)
+
     def test_defaults(self):
         cfg = WalkConfig()
         assert cfg.max_len == 5
         assert cfg.num_walks == 1024
         assert cfg.epsilon == 0.005
-        assert cfg.mean_len == pytest.approx(3.0)
+        mean_len = np.dot(cfg.length_probs, np.arange(1, cfg.max_len + 1))
+        assert mean_len == pytest.approx(3.0)
 
 
 class TestSampleWalkLength:
