@@ -27,8 +27,9 @@ class GraphFormatError(ValueError):
 class Graph:
     """Immutable directed multigraph in CSR form.
 
-    Undirected networks are stored as symmetric arc pairs, so `num_edges`
-    always counts directed arcs.  Parallel arcs and self-loops are kept.
+    Undirected networks are stored as symmetric arc pairs, which
+    ``from_arcs`` mirrors from edges, so `num_edges` always counts directed
+    arcs.  Parallel arcs, self-loops and finite nonnegative weights are kept.
     """
 
     num_nodes: int
@@ -51,6 +52,8 @@ class Graph:
                 raise ValueError("one weight per arc required")
             if np.any(self.weights < 0):
                 raise ValueError("negative arc weight")
+            if not np.all(np.isfinite(self.weights)):
+                raise ValueError("arc weights must be finite")
         for arr in (self.offsets, self.targets, self.weights):
             if arr is not None:
                 arr.setflags(write=False)
@@ -77,6 +80,10 @@ class Graph:
 def from_arcs(num_nodes, src, dst, weights=None, directed=True) -> Graph:
     """Build a Graph from parallel arc arrays, sorting them into CSR order.
 
+    With ``directed=False`` each ``(src[i], dst[i])`` is one edge, mirrored
+    here and nowhere else: it is stored as both arcs (a self-loop as two),
+    each with its weight, interleaved per edge (``s0->d0, d0->s0, s1->d1``).
+
     Arcs are put in order by one sort of the packed int64 keys
     ``src * num_nodes + dst``, so ``num_nodes`` may be at most
     ``isqrt(2**63 - 1)`` (3,037,000,499); a larger count, or a source or
@@ -93,15 +100,18 @@ def from_arcs(num_nodes, src, dst, weights=None, directed=True) -> Graph:
     for ids, end in ((src, "source"), (dst, "target")):
         if len(ids) and (ids.min() < 0 or ids.max() >= num_nodes):
             raise ValueError(f"{end} node id out of range")
+    w = None if weights is None else np.asarray(weights, dtype=np.float64)
+    if not directed:
+        src, dst = np.column_stack([src, dst]).ravel(), np.column_stack([dst, src]).ravel()
+        w = None if w is None else np.repeat(w, 2)
     key = src * num_nodes
     key += dst
-    w = None
-    if weights is None:
+    if w is None:
         key.sort()
     else:
         order = np.argsort(key, kind="stable")
         key = key[order]
-        w = np.asarray(weights, dtype=np.float64)[order]
+        w = w[order]
     src, dst = np.divmod(key, num_nodes)
     offsets = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=num_nodes), out=offsets[1:])
@@ -133,9 +143,10 @@ def load_edge_list(path, directed: bool = False) -> Graph:
     """Load a tab-separated edge list: ``src<TAB>dst[<TAB>weight]`` per line.
 
     Lines starting with ``#`` and blank lines are skipped.  Node ids must be
-    nonnegative integers; the graph spans ids 0..max_id.  For undirected
-    input every line produces both arcs.  Duplicate lines become parallel
-    arcs and self-loops are preserved.
+    nonnegative integers; the graph spans ids 0..max_id.  Weights must be
+    finite and nonnegative.  Each line is one edge, which ``from_arcs``
+    mirrors into both arcs for undirected input.  Duplicate lines become
+    parallel arcs and self-loops are preserved.
 
     A nonempty file of canonical unweighted lines (ids of at most 18 digits)
     is parsed in one pass (``canonical_pairs``).  It goes to the line-by-line
@@ -145,11 +156,7 @@ def load_edge_list(path, directed: bool = False) -> Graph:
     with open(path, "rb") as fh:
         ids = canonical_pairs(fh.read())
     if ids is not None and (top := int(ids.max())) <= _MAX_NODE_ID:
-        u, v = ids[:, 0], ids[:, 1]
-        if not directed:
-            # unweighted arcs: from_arcs' sort makes their order irrelevant
-            u, v = np.concatenate([u, v]), np.concatenate([v, u])
-        return from_arcs(top + 1, u, v, directed=directed)
+        return from_arcs(top + 1, ids[:, 0], ids[:, 1], directed=directed)
     srcs, dsts, ws = [], [], []
     any_weight = False
     with open(path, "r", encoding="utf-8") as fh:
@@ -180,14 +187,12 @@ def load_edge_list(path, directed: bool = False) -> Graph:
                         f"{path}:{lineno}: weight must be a number, got {parts[2]!r}") from None
                 if w < 0:
                     raise GraphFormatError(f"{path}:{lineno}: negative weight {w}")
+                if not math.isfinite(w):
+                    raise GraphFormatError(f"{path}:{lineno}: weight must be finite")
                 any_weight = True
             srcs.append(u)
             dsts.append(v)
             ws.append(w)
-            if not directed:
-                srcs.append(v)
-                dsts.append(u)
-                ws.append(w)
     if not srcs:
         raise GraphFormatError(f"{path}: no edges found")
     num_nodes = max(max(srcs), max(dsts)) + 1
@@ -200,8 +205,9 @@ def write_edge_list(g: Graph, path) -> None:
 
     Directed graphs emit one line per arc.  Undirected graphs emit one line
     per symmetric arc pair, and one line per two stored self-loop arcs.  A
-    node's weighted self-loop arcs are paired by weight, since the two
-    halves of its loops may be stored interleaved (``[a, b, a, b]``).
+    node's weighted self-loop arcs are paired by weight, since a Graph built
+    directly may store the two halves of its loops interleaved
+    (``[a, b, a, b]``).
     """
     src = np.repeat(np.arange(g.num_nodes, dtype=np.int64), g.out_degrees)
     keep = np.ones(g.num_edges, dtype=bool)

@@ -23,9 +23,10 @@ class PageRankConfig:
     pure_power: bool = False  # literal r <- C r: no teleport, no dangling fix
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        # each comparison is written so that NaN fails it
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ValueError("max_iters must be >= 1")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")

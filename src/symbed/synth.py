@@ -9,13 +9,12 @@ from .graph import Graph, LabelTable, from_arcs
 
 def random_graph(n: int, arcs_per_node: int = 5, seed: int = 0,
                  directed: bool = False) -> Graph:
-    """Uniform random multigraph with roughly n * arcs_per_node arcs."""
+    """Uniform random multigraph of n * arcs_per_node edges (twice as many
+    arcs when undirected)."""
     rng = np.random.default_rng(seed)
     m = n * arcs_per_node
     src = rng.integers(0, n, m)
     dst = rng.integers(0, n, m)
-    if not directed:
-        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
     return from_arcs(n, src, dst, directed=directed)
 
 
@@ -39,9 +38,6 @@ def planted_partition(n: int, num_blocks: int, p_in: float, p_out: float,
     partner = (np.arange(n) + num_blocks) % n
     src_list.append(np.arange(n))
     dst_list.append(partner)
-    u = np.concatenate(src_list)
-    v = np.concatenate(dst_list)
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    g = from_arcs(n, src, dst, directed=False)
+    g = from_arcs(n, np.concatenate(src_list), np.concatenate(dst_list),
+                  directed=False)
     return g, LabelTable(blocks[:, None] == np.arange(num_blocks))

@@ -53,9 +53,10 @@ class WalkConfig:
         object.__setattr__(self, "length_probs", w)
         if w.ndim != 1 or len(w) == 0:
             raise ValueError("length_probs must be a nonempty 1-d vector")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+        # each comparison is written so that NaN fails it
+        if not np.all(w >= 0) or not abs(w.sum() - 1.0) <= 1e-9:
             raise ValueError("length_probs must be nonnegative and sum to 1")
-        if self.num_walks < 1:
+        if not self.num_walks >= 1:
             raise ValueError("num_walks must be >= 1")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError("epsilon must lie in [0, 1)")
@@ -232,10 +233,12 @@ def hash_all(g: Graph, cfg: WalkConfig, workers: int = 1) -> sp.csr_matrix:
 
     Work is split into node blocks whose walk buffers stay small; blocks may
     run on several threads, and the result is identical for any worker count.
-    Raises ValueError unless ``workers >= 1``.
+    Raises ValueError unless ``workers >= 1`` and the graph has a node.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if g.num_nodes < 1:
+        raise ValueError("graph must have at least one node")
     lengths = walk_lengths(cfg)
     arcs = _sink_arcs(g, cfg.weighted)
     visits_per_node = cfg.num_walks * (cfg.max_len + 1)

@@ -27,7 +27,7 @@ def require_dataset(name):
 @pytest.fixture
 def path3():
     """Undirected path 0 - 1 - 2."""
-    return from_arcs(3, [0, 1, 1, 2], [1, 0, 2, 1], directed=False)
+    return from_arcs(3, [0, 1], [1, 2], directed=False)
 
 
 @pytest.fixture
@@ -39,6 +39,4 @@ def two_cycle():
 @pytest.fixture
 def star4():
     """Undirected star: center 0, leaves 1..3."""
-    src = [0, 1, 0, 2, 0, 3]
-    dst = [1, 0, 2, 0, 3, 0]
-    return from_arcs(4, src, dst, directed=False)
+    return from_arcs(4, [0, 0, 0], [1, 2, 3], directed=False)

@@ -14,9 +14,10 @@ the slow, direct versions that pin it:
   ``symbed.embedding._quantize_array``.
 - ``topk_sets_oracle`` picks each row's top-k_i classes as a set and pins
   the indicator rows of ``symbed.evaluation.topk_sets``.
-- ``from_arcs_oracle`` orders arcs by a two-key ``lexsort`` and pins the
-  packed-key sort of ``symbed.graph.from_arcs``: the same ``offsets``,
-  ``targets`` and ``weights``, bit for bit.
+- ``from_arcs_oracle`` mirrors undirected edges in a Python loop, orders
+  arcs by a two-key ``lexsort`` and pins the edge mirroring and packed-key
+  sort of ``symbed.graph.from_arcs``: the same ``offsets``, ``targets`` and
+  ``weights``, bit for bit.
 - ``neighbors`` reads one node's out-arc targets from the CSR arrays, for
   the dense per-node oracles and the graph tests.
 
@@ -232,16 +233,21 @@ def neighbors(g: Graph, u: int) -> np.ndarray:
 
 
 def from_arcs_oracle(num_nodes, src, dst, weights=None, directed=True) -> Graph:
-    """Build a Graph from parallel arc arrays, sorting them into CSR order."""
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
+    """Build a Graph from parallel arc arrays, sorting them into CSR order;
+    undirected, each edge is appended as its two arcs, one after the other."""
+    ws = [1.0] * len(src) if weights is None else np.asarray(weights).tolist()
+    arcs = list(zip(np.asarray(src).tolist(), np.asarray(dst).tolist(), ws))
+    if not directed:
+        arcs = [a for u, v, x in arcs for a in ((u, v, x), (v, u, x))]
+    src = np.array([u for u, _, _ in arcs], dtype=np.int64)
+    dst = np.array([v for _, v, _ in arcs], dtype=np.int64)
     if len(src) and (src.min() < 0 or src.max() >= num_nodes):
         raise ValueError("source node id out of range")
     order = np.lexsort((dst, src))
     src, dst = src[order], dst[order]
     w = None
     if weights is not None:
-        w = np.asarray(weights, dtype=np.float64)[order]
+        w = np.array([x for _, _, x in arcs], dtype=np.float64)[order]
     offsets = np.zeros(num_nodes + 1, dtype=np.int64)
     np.add.at(offsets, src + 1, 1)
     np.cumsum(offsets, out=offsets)

@@ -418,6 +418,17 @@ class TestWorkerThreads:
         with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
             run(workers)
 
+    @pytest.mark.parametrize("run, message", [
+        (lambda g: hash_all(g, WalkConfig()), "graph must have at least one node"),
+        (lambda g: embed_fixed(g, EmbeddingConfig(d=1)),
+         "d=1 exceeds the number of nodes 0"),
+        (lambda g: embed_sdf(g, EmbeddingConfig(mode="sdf")),
+         "graph must have at least one node"),
+    ], ids=["hash_all", "embed_fixed", "embed_sdf"])
+    def test_zero_nodes_rejected(self, run, message):
+        with pytest.raises(ValueError, match=message):
+            run(from_arcs(0, [], []))
+
     def _assert_chunk_error_propagates(self, monkeypatch, mode, failing_call,
                                        workers):
         error = RuntimeError("chunk failed")

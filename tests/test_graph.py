@@ -22,6 +22,15 @@ def _write(tmp_path, text, name="edges.tsv"):
     return p
 
 
+def _triples(h):
+    """Sorted (source, target[, weight bits]) of every arc of h."""
+    cols = [np.repeat(np.arange(h.num_nodes), h.out_degrees).tolist(),
+            h.targets.tolist()]
+    if h.weights is not None:
+        cols.append(h.weights.view(np.uint64).tolist())
+    return sorted(zip(*cols))
+
+
 class TestLoadEdgeList:
     def test_single_directed_line(self, tmp_path):
         g = load_edge_list(_write(tmp_path, "0\t1\n"), directed=True)
@@ -64,6 +73,8 @@ class TestLoadEdgeList:
         ("0\t1\n-1\t2\n", r"edges\.tsv:2: negative node id"),
         ("0\t1\t0.5\n1\t2\theavy\n",
          r"edges\.tsv:2: weight must be a number, got 'heavy'"),
+        ("0\t1\t0.5\n1\t2\tnan\n", r"edges\.tsv:2: weight must be finite"),
+        ("0\t1\t0.5\n1\t2\tinf\n", r"edges\.tsv:2: weight must be finite"),
     ])
     def test_bad_field_reports_line(self, tmp_path, text, message):
         with pytest.raises(GraphFormatError, match=message):
@@ -101,8 +112,6 @@ class TestRoundTrip:
         n = 25
         src = rng.integers(0, n, 70)
         dst = rng.integers(0, n, 70)
-        if not directed:
-            src, dst = np.r_[src, dst], np.r_[dst, src]
         g = from_arcs(n, src, dst, directed=directed)
         path = tmp_path / "out.tsv"
         write_edge_list(g, path)
@@ -122,8 +131,8 @@ class TestRoundTrip:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), n=st.integers(1, 7), directed=st.booleans())
     def test_weighted_arcs_round_trip(self, data, n, directed):
-        # undirected halves concatenated, as random_graph builds them, store
-        # a node's loops of weights a and b as [a, b, a, b]
+        # from_arcs mirrors each undirected edge, so a node's loops of
+        # weights a and b are stored [a, a, b, b]
         ids = st.integers(0, n - 1)
         edges = data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=12))
         weight = st.one_of(st.sampled_from([0.0, 1.0, 2.0]),
@@ -131,33 +140,58 @@ class TestRoundTrip:
         w = np.array(data.draw(st.lists(weight, min_size=len(edges),
                                         max_size=len(edges))))
         src, dst = (np.array(c) for c in zip(*edges))
-        if not directed:
-            src, dst, w = np.r_[src, dst], np.r_[dst, src], np.r_[w, w]
         g = from_arcs(n, src, dst, w, directed=directed)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp, "w.tsv")
             write_edge_list(g, path)
             g2 = load_edge_list(path, directed=directed)
+        assert _triples(g2) == _triples(g)
 
-        def triples(h):
-            s = np.repeat(np.arange(h.num_nodes), h.out_degrees)
-            return sorted(zip(s.tolist(), h.targets.tolist(),
-                              h.weights.view(np.uint64).tolist()))
-        assert triples(g2) == triples(g)
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 7), weighted=st.booleans())
+    def test_undirected_edges_round_trip(self, data, n, weighted):
+        # any edge list, each edge once: self-loops, parallel edges, weights
+        # or none; from_arcs stores both arcs of each, so the file reloads
+        # as the same arcs
+        ids = st.integers(0, n - 1)
+        edges = data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=12))
+        edges += data.draw(st.lists(st.sampled_from(edges), max_size=4))
+        w = None
+        if weighted:
+            w = data.draw(st.lists(st.floats(0.0, 1e300, allow_subnormal=True),
+                                   min_size=len(edges), max_size=len(edges)))
+        src, dst = zip(*edges)
+        g = from_arcs(n, src, dst, w, directed=False)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "u.tsv")
+            write_edge_list(g, path)
+            g2 = load_edge_list(path, directed=False)
+        assert _triples(g2) == _triples(g)
+
+    def test_interleaved_weighted_self_loops_paired_by_weight(self, tmp_path):
+        # from_arcs stores loops of weights a and b as [a, a, b, b]; a Graph
+        # built directly may hold their halves as [a, b, a, b]
+        g = Graph(num_nodes=1, offsets=np.array([0, 4], dtype=np.int64),
+                  targets=np.zeros(4, dtype=np.int64),
+                  weights=np.array([0.5, 2.0, 0.5, 2.0]), directed=False)
+        path = tmp_path / "loops.tsv"
+        write_edge_list(g, path)
+        assert path.read_text() == "0\t0\t0.5\n0\t0\t2\n"
+        assert _triples(load_edge_list(path, directed=False)) == _triples(g)
+
 
 
 @st.composite
 def arc_lists(draw):
     """Arc arrays with self-loops, parallel arcs of distinct weights, trailing
-    isolated nodes and empty lists, directed or mirrored."""
+    isolated nodes and empty lists, directed or (one entry per edge)
+    undirected."""
     n = draw(st.integers(0, 40))
     ids = st.integers(0, max(n - 1, 0))
     pairs = draw(st.lists(st.tuples(ids, ids), max_size=30 if n else 0))
     if pairs:
         pairs += draw(st.lists(st.sampled_from(pairs), max_size=10))  # parallel
     directed = draw(st.booleans())
-    if not directed:
-        pairs += [(v, u) for u, v in pairs]
     src = np.array([u for u, _ in pairs], dtype=np.int64)
     dst = np.array([v for _, v in pairs], dtype=np.int64)
     weights = None
@@ -205,6 +239,8 @@ class TestFromArcs:
         ([0, 1, 1], [2], None, "target node id out of range"),
         ([0, 1, 1], [1], [1.0, 2.0], "one weight per arc required"),
         ([0, 1, 1], [1], [-1.0], "negative arc weight"),
+        ([0, 1, 1], [1], [np.nan], "arc weights must be finite"),
+        ([0, 1, 1], [1], [np.inf], "arc weights must be finite"),
     ])
     def test_graph_refuses_inconsistent_arrays(self, offsets, targets, weights,
                                                message):
@@ -228,10 +264,7 @@ def multigraphs(draw):
     pairs = draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=30))
     pairs += draw(st.lists(st.sampled_from(pairs), max_size=5))  # parallel arcs
     src, dst = (np.array(c) for c in zip(*pairs))
-    directed = draw(st.booleans())
-    if not directed:
-        src, dst = np.r_[src, dst], np.r_[dst, src]
-    return from_arcs(n, src, dst, directed=directed)
+    return from_arcs(n, src, dst, directed=draw(st.booleans()))
 
 
 class TestCanonicalFastPath:
@@ -402,7 +435,7 @@ class TestDegreesAndComponents:
             src, dst = np.r_[s1, s2], np.r_[d1, d2]
             g = from_arcs(n, src, dst, directed=False)
             before = connected_components(g)
-            g2 = from_arcs(n, np.r_[src, 0, 10], np.r_[dst, 10, 0], directed=False)
+            g2 = from_arcs(n, np.r_[src, 0], np.r_[dst, 10], directed=False)
             assert connected_components(g2) == before - 1
 
 
@@ -424,7 +457,7 @@ class TestStats:
         assert dataset_stats(g).dead_ends == 2
         assert json.loads(dataset_stats(g).to_json())["dead_ends"] == 2
         # undirected (arcs stored both ways), only isolated nodes are dead ends
-        g = from_arcs(4, [0, 1], [1, 0], directed=False)
+        g = from_arcs(4, [0], [1], directed=False)
         assert dataset_stats(g).dead_ends == 2
 
 

@@ -104,7 +104,7 @@ class TestPageRank:
                                 for w in caught)
         # the path 0 - 1 - 2 starts away from its stationary vector, so two
         # iterations cannot reach the tolerance
-        path = from_arcs(3, [0, 1, 1, 2], [1, 0, 2, 1], directed=False)
+        path = from_arcs(3, [0, 1], [1, 2], directed=False)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             r, converged = pagerank(path, PageRankConfig(max_iters=2, tolerance=1e-15),
@@ -138,6 +138,10 @@ class TestPageRank:
             PageRankConfig(max_iters=0)
         with pytest.raises(ValueError):
             PageRankConfig(damping=0.0)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            PageRankConfig(tolerance=float("nan"))
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            PageRankConfig(max_iters=float("nan"))
 
 
 class TestRankNodes:

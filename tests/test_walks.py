@@ -40,6 +40,9 @@ class TestWalkConfig:
         ({"length_probs": np.array([[1.0]])}, "length_probs must be a nonempty 1-d"),
         ({"length_probs": np.array([])}, "length_probs must be a nonempty 1-d"),
         ({"num_walks": 0}, "num_walks must be >= 1"),
+        ({"length_probs": np.full(3, np.nan)}, "length_probs must be nonnegative"),
+        ({"num_walks": np.nan}, "num_walks must be >= 1"),
+        ({"epsilon": np.nan}, r"epsilon must lie in \[0, 1\)"),
     ])
     def test_settings_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
