@@ -34,14 +34,13 @@ On disk an embedding is a directory of three files: ``embedding.npz`` (the
 CSR matrix in scipy's ``save_npz`` container: ``indptr``, ``indices``,
 ``data``, ``shape`` and ``format`` arrays in an uncompressed zip),
 ``feature_map.tsv`` (``column<TAB>node`` lines) and ``config.json`` (format
-version, shape, ``value_bits`` and the config snapshot).  A quantized
-embedding (``value_bits`` 16) stores every value ``v`` as the integer bin
-code ``K = rint(v * bins)``, in the narrowest integer dtype that holds the
-codes (uint16 for cosine at 256 bins); its value is ``K / bins``, with
-``bins`` read from the snapshot in ``config.json``.  Unquantized values
-(``value_bits`` 32) are stored as float64.  Both read back bit for bit.  The
-zip is not compressed: deflating the arrays would cost more time than the
-binary layout saves over text.
+version, shape, ``value_bits`` and the config snapshot).  The snapshot's
+``bins`` alone sets ``value_bits``.  An integer ``bins`` >= 2 makes it 16: each
+value ``v`` is stored as the bin code ``K = rint(v * bins)``, in the narrowest
+integer dtype that holds the codes (uint16 for cosine at 256 bins), and read
+as ``K / bins``.  Otherwise it is 32, and values are stored as float64.  Both
+read back bit for bit.  The zip is not compressed: deflating the arrays would
+cost more time than the binary layout saves over text.
 """
 
 from __future__ import annotations
@@ -93,7 +92,7 @@ class EmbeddingConfig:
     mode: str = "fixed"        # "fixed": d pivot columns; "sdf": budgeted
     d: int = 2048
     budget_dim: int = 256      # sdf budget is num_nodes * budget_dim values
-    bins: int | None = None    # quantization bins; None = mode default
+    bins: int | None = None    # quantization bins, 0 = off; None: 256 sdf, 0 fixed
     metric: str = "cosine"
     walk: WalkConfig = field(default_factory=WalkConfig)
     pagerank: PageRankConfig = field(default_factory=PageRankConfig)
@@ -101,21 +100,17 @@ class EmbeddingConfig:
     def __post_init__(self):
         if self.mode not in ("fixed", "sdf"):
             raise ValueError(f"mode must be 'fixed' or 'sdf', got {self.mode!r}")
-        if self.d < 1:
+        # each comparison is written so that NaN fails it
+        if not self.d >= 1:
             raise ValueError("d must be >= 1")
-        if self.budget_dim < 1:
+        if not self.budget_dim >= 1:
             raise ValueError("budget_dim must be >= 1")
-        if self.bins is not None and self.bins != 0 and self.bins < 2:
+        if self.bins is None:
+            object.__setattr__(self, "bins", 256 if self.mode == "sdf" else 0)
+        if not (self.bins == 0 or self.bins >= 2):
             raise ValueError("bins must be 0 (disabled) or >= 2")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
-
-    @property
-    def resolved_bins(self) -> int:
-        """Quantization default: off for fixed mode, 256 bins for sdf."""
-        if self.bins is None:
-            return 256 if self.mode == "sdf" else 0
-        return self.bins
 
 
 @dataclass
@@ -125,7 +120,6 @@ class Embedding:
     matrix: sp.csr_matrix
     ind: np.ndarray
     config: dict
-    value_bits: int = 32
 
     @property
     def num_nodes(self) -> int:
@@ -138,6 +132,11 @@ class Embedding:
     @property
     def nnz(self) -> int:
         return self.matrix.nnz
+
+    @property
+    def value_bits(self) -> int:
+        """16 when ``config["bins"]`` is an int >= 2 (quantized), else 32."""
+        return 16 if _valid_bins(self.config) else 32
 
     @property
     def value_payload_bytes(self) -> int:
@@ -155,7 +154,8 @@ def compute_variances(hashes: sp.csr_matrix) -> np.ndarray:
     """Population variance of every hash dimension across all nodes.
 
     Absent coordinates count as zeros.  Variances are floored to
-    VARIANCE_FLOOR to keep the standardized Euclidean denominator positive.
+    VARIANCE_FLOOR to keep the standardized Euclidean denominator positive:
+    seuclidean is ``sqrt(sum((a - b) ** 2 / V))``, as in scipy's ``cdist``.
     """
     if hashes.shape[0] < 2:
         raise ValueError("need at least 2 hash vectors")
@@ -227,8 +227,8 @@ def _prepare_metric(h: sp.csr_matrix, metric: str
                     ) -> tuple[sp.csr_matrix, sp.csr_matrix] | None:
     """Rows _metric_columns multiplies for the metric, with their transpose
     converted to CSR once: unit rows for cosine, 0/1 rows for jaccard, the
-    hash rows for euclidean, variance-scaled rows for seuclidean.  Canberra
-    has no product form and needs nothing (None)."""
+    hash rows for euclidean, rows scaled by ``1 / sqrt(V)`` for seuclidean.
+    Canberra has no product form and needs nothing (None)."""
     if metric == "canberra":
         return None
     if metric == "cosine":
@@ -237,7 +237,7 @@ def _prepare_metric(h: sp.csr_matrix, metric: str
         rows = h.copy()
         rows.data = np.ones_like(rows.data)
     elif metric == "seuclidean":
-        rows = (h @ sp.diags(1.0 / np.asarray(compute_variances(h)))).tocsr()
+        rows = (h @ sp.diags(1.0 / np.sqrt(compute_variances(h)))).tocsr()
     else:
         rows = h
     return rows, rows.T.tocsr()
@@ -245,7 +245,6 @@ def _prepare_metric(h: sp.csr_matrix, metric: str
 
 def _config_snapshot(cfg: EmbeddingConfig) -> dict:
     snap = asdict(cfg)
-    snap["bins"] = cfg.resolved_bins
     snap["walk"]["length_probs"] = cfg.walk.length_probs.tolist()
     return snap
 
@@ -286,7 +285,6 @@ def _embed(g: Graph, cfg: EmbeddingConfig, workers: int
     """
     if cfg.mode == "fixed" and cfg.d > g.num_nodes:
         raise ValueError(f"d={cfg.d} exceeds the number of nodes {g.num_nodes}")
-    bins = cfg.resolved_bins
     sdf = cfg.mode == "sdf"
     limit = g.num_nodes if sdf else cfg.d
     step = _PRODUCT_CHUNK if cfg.metric in ("cosine", "jaccard") else _COLUMN_CHUNK
@@ -311,8 +309,8 @@ def _embed(g: Graph, cfg: EmbeddingConfig, workers: int
         def chunk(lo: int) -> sp.csc_matrix:
             cols = _metric_columns(h, order[lo:min(lo + step, limit)], cfg.metric,
                                    prepared)
-            if bins >= 2:
-                cols.data = _quantize_array(cols.data, bins)
+            if cfg.bins >= 2:
+                cols.data = _quantize_array(cols.data, cfg.bins)
                 cols.eliminate_zeros()
             return cols
 
@@ -342,8 +340,7 @@ def _embed(g: Graph, cfg: EmbeddingConfig, workers: int
     seconds = {"walks+hash": t1 - t0, "pagerank": t2 - t1,
                "similarity": time.perf_counter() - t2}
     return Embedding(matrix=m, ind=order[:m.shape[1]],
-                     config=_config_snapshot(cfg),
-                     value_bits=16 if bins >= 2 else 32), h, seconds
+                     config=_config_snapshot(cfg)), h, seconds
 
 
 def embed_fixed(g: Graph, cfg: EmbeddingConfig | None = None, *,
@@ -428,38 +425,32 @@ def save_embedding(e: Embedding, out_dir) -> None:
     The matrix goes to ``embedding.npz`` by ``scipy.sparse.save_npz`` with
     ``compressed=False``: CSR ``indptr``, ``indices`` and ``data`` plus its
     ``shape`` and ``format``, in canonical form (sorted row indices, no
-    duplicates).  A 16-bit (quantized) embedding stores as ``data`` its
-    integer bin codes ``K = rint(v * bins)``, ``bins`` taken from
-    ``e.config``, in the narrowest integer dtype that holds them; a 32-bit one
-    stores its float64 values.  Either way load_embedding returns the matrix
-    bit for bit, and the same embedding always gives the same bytes.
+    duplicates).  A 16-bit (quantized) embedding, one whose ``config["bins"]``
+    is an int >= 2, stores as ``data`` its integer bin codes
+    ``K = rint(v * bins)``, in the narrowest integer dtype that holds them;
+    a 32-bit one stores its float64 values.  Either way load_embedding returns
+    the matrix bit for bit, and the same embedding always gives the same bytes.
 
     Raises ValueError, before writing anything, for a triple load_embedding
     would reject or could not return exactly: ``e.ind`` not naming one pivot
-    node per column, ``value_bits`` other than 16 or 32, or a 16-bit
-    embedding without ``config["bins"]`` (an int >= 2) or with a value that
-    is not ``K / bins`` for an integer ``K``.
+    node per column, or a 16-bit embedding with a value that is not
+    ``K / bins`` for an integer ``K``.
     """
     if len(e.ind) != e.num_columns:
         raise ValueError(f"feature map names {len(e.ind)} columns, the matrix "
                          f"has {e.num_columns}: only pivot-column embeddings "
                          f"can be saved")
     m = e.matrix.tocsr()
-    if e.value_bits == 16:
-        bins = _valid_bins(e.config)
-        if bins is None:
-            raise ValueError("a 16-bit embedding needs config['bins'], an int "
-                             ">= 2, to be saved as bin codes")
+    bins = _valid_bins(e.config)
+    if bins:
         m = sp.csr_matrix((_bin_codes(m.data, bins), m.indices, m.indptr),
                           shape=m.shape)
-    elif e.value_bits != 32:
-        raise ValueError(f"value_bits must be 16 or 32, got {e.value_bits!r}")
     if not m.has_canonical_format:
         # sort a copy, whose duplicate codes sum in int64: the caller's
         # matrix, whose arrays m may share, stays as it is
         m = m.copy()
         m.sum_duplicates()
-    if e.value_bits == 16:
+    if bins:
         m.data = m.data.astype(_narrowest_int(m.data))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -485,7 +476,8 @@ def load_embedding(in_dir) -> Embedding:
     refuses pickled (object) arrays.  A 16-bit embedding's matrix holds
     integer bin codes ``K``; each value is ``K / bins``, with ``bins`` from
     the config snapshot in ``config.json``.  A 32-bit embedding's float64
-    values are read as written.
+    values are read as written.  The recorded ``value_bits`` must be the one
+    ``bins`` implies: 16 for an integer ``bins`` >= 2, else 32.
 
     Raises EmbeddingFormatError for another format version (re-run
     ``symbed embed`` to rewrite older files, such as version 2's Matrix
@@ -530,12 +522,16 @@ def load_embedding(in_dir) -> Embedding:
         raise EmbeddingFormatError(
             f"{cfg_path}: key 'config.bins' must be an integer >= 2 for 16-bit "
             f"values, got {config.get('bins')!r}")
-    mat = _read_matrix(src / MATRIX_FILE, bins if value_bits == 16 else None)
+    if value_bits == 32 and bins is not None:
+        raise EmbeddingFormatError(
+            f"{cfg_path}: key 'value_bits' must be 16 when 'config.bins' is "
+            f"{bins}, got 32")
+    mat = _read_matrix(src / MATRIX_FILE, bins)
     if shape != list(mat.shape):
         raise EmbeddingFormatError(
             f"matrix shape {mat.shape} does not match recorded {shape}")
     ind = _read_feature_map(src / FEATURE_MAP_FILE, *mat.shape)
-    return Embedding(matrix=mat, ind=ind, config=config, value_bits=value_bits)
+    return Embedding(matrix=mat, ind=ind, config=config)
 
 
 def _read_matrix(path: Path, bins: int | None) -> sp.csr_matrix:

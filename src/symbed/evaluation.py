@@ -126,7 +126,7 @@ class ProtocolConfig:
         for f in self.train_fractions:
             if not 0.0 < f < 1.0:
                 raise ValueError(f"train fraction {f} outside (0, 1)")
-        if self.shuffles < 1 or self.repetitions < 1:
+        if not (self.shuffles >= 1 and self.repetitions >= 1):  # NaN fails
             raise ValueError("shuffles and repetitions must be >= 1")
 
 
@@ -324,5 +324,4 @@ def random_embedding(n: int, dim: int = 64, seed: int = 0) -> Embedding:
     rng = np.random.default_rng(seed)
     mat = sp.csr_matrix(rng.random((n, dim)))
     return Embedding(matrix=mat, ind=np.array([], dtype=np.int64),
-                     config={"baseline": "random", "dim": dim, "seed": seed},
-                     value_bits=32)
+                     config={"baseline": "random", "dim": dim, "seed": seed})

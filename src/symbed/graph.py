@@ -86,11 +86,11 @@ def from_arcs(num_nodes, src, dst, weights=None, directed=True) -> Graph:
 
     Arcs are put in order by one sort of the packed int64 keys
     ``src * num_nodes + dst``, so ``num_nodes`` may be at most
-    ``isqrt(2**63 - 1)`` (3,037,000,499); a larger count, or a source or
-    target id outside ``0..num_nodes - 1``, raises ``ValueError`` before any
-    key is packed.  Unweighted keys are sorted in place, since parallel arcs
-    cannot be told apart; weighted ones by a stable argsort, so parallel arcs
-    keep their weights in input order.
+    ``isqrt(2**63 - 1)`` (3,037,000,499); a larger count, an id outside
+    ``0..num_nodes - 1`` or a ``weights`` length other than ``len(src)``
+    raises ``ValueError`` before any key is packed.  Unweighted keys are
+    sorted in place, since parallel arcs cannot be told apart; weighted ones
+    by a stable argsort, so parallel arcs keep their weights in input order.
     """
     if num_nodes > _MAX_NODES:
         raise ValueError(f"num_nodes {num_nodes} exceeds {_MAX_NODES}, the most "
@@ -101,6 +101,8 @@ def from_arcs(num_nodes, src, dst, weights=None, directed=True) -> Graph:
         if len(ids) and (ids.min() < 0 or ids.max() >= num_nodes):
             raise ValueError(f"{end} node id out of range")
     w = None if weights is None else np.asarray(weights, dtype=np.float64)
+    if w is not None and len(w) != len(src):
+        raise ValueError(f"weights has {len(w)} entries, src has {len(src)}")
     if not directed:
         src, dst = np.column_stack([src, dst]).ravel(), np.column_stack([dst, src]).ravel()
         w = None if w is None else np.repeat(w, 2)

@@ -201,7 +201,7 @@ def similarity(a: HashVector, b: HashVector, metric: str = "cosine",
         if variances is None:
             raise ValueError("seuclidean requires per-dimension variances")
         v = np.asarray(variances)[union]
-        return float(np.sqrt(np.sum((av - bv) ** 2 / v ** 2)))
+        return float(np.sqrt(np.sum((av - bv) ** 2 / v)))
     # canberra; terms where both coordinates are 0 contribute 0
     num = np.abs(av - bv)
     den = np.abs(av) + np.abs(bv)

@@ -221,6 +221,9 @@ class TestSdfMode:
         ({"d": 0}, "d must be >= 1"),
         ({"bins": 1}, r"bins must be 0 \(disabled\) or >= 2"),
         ({"metric": "cityblock"}, "unknown metric 'cityblock'"),
+        ({"d": float("nan")}, "d must be >= 1"),
+        ({"budget_dim": float("nan")}, "budget_dim must be >= 1"),
+        ({"bins": float("nan")}, r"bins must be 0 \(disabled\) or >= 2"),
     ])
     def test_config_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -585,8 +588,7 @@ class TestPersistence:
         cells = np.array(cells, dtype=np.int64)
         m = sp.csr_matrix((np.array(codes, dtype=np.int64) / bins,
                            (cells // cols, cells % cols)), shape=(rows, cols))
-        emb = Embedding(matrix=m, ind=np.arange(cols) % rows,
-                        config={"bins": bins}, value_bits=16)
+        emb = Embedding(matrix=m, ind=np.arange(cols) % rows, config={"bins": bins})
         with tempfile.TemporaryDirectory() as tmp:
             save_embedding(emb, tmp)
             back = load_embedding(tmp).matrix
@@ -637,7 +639,7 @@ class TestPersistence:
                            (np.zeros(len(codes), dtype=int), np.arange(len(codes)))),
                           shape=(1, max(len(codes), 1)))
         emb = Embedding(matrix=m, ind=np.zeros(m.shape[1], dtype=int),
-                        config={"bins": bins}, value_bits=16)
+                        config={"bins": bins})
         save_embedding(emb, tmp_path / "e")
         assert self.stored(tmp_path / "e")["data"].dtype == dtype
         assert load_embedding(tmp_path / "e").matrix.data.tobytes() == m.data.tobytes()
@@ -649,8 +651,10 @@ class TestPersistence:
         m = sp.csr_matrix((np.array([200, 100, 200, 3]) / 256, [1, 0, 1, 1],
                            [0, 3, 4]), shape=(2, 2))
         arrays = [a.copy() for a in (m.indptr, m.indices, m.data)]
-        save_embedding(Embedding(matrix=m, ind=np.arange(2), config={"bins": 256},
-                                 value_bits=value_bits), tmp_path / "e")
+        emb = Embedding(matrix=m, ind=np.arange(2),
+                        config={"bins": 256} if value_bits == 16 else {})
+        assert emb.value_bits == value_bits
+        save_embedding(emb, tmp_path / "e")
         assert self.stored(tmp_path / "e")["data"].dtype == dtype
         back = load_embedding(tmp_path / "e").matrix
         assert back.indptr.tolist() == [0, 2, 3]
@@ -663,8 +667,9 @@ class TestPersistence:
     def test_symmetric_matrix_written_general(self, tmp_path, value_bits, field):
         # a small symmetric matrix stores every entry, not one triangle
         m = sp.csr_matrix(np.array([[0.5, 0.25], [0.25, 1.0]]))
-        emb = Embedding(matrix=m, ind=np.arange(2), config={"bins": 256},
-                        value_bits=value_bits)
+        emb = Embedding(matrix=m, ind=np.arange(2),
+                        config={"bins": 256} if value_bits == 16 else {})
+        assert emb.value_bits == value_bits
         save_embedding(emb, tmp_path / "e")
         stored = self.stored(tmp_path / "e")
         assert stored["data"].dtype.kind == {"real": "f", "integer": "u"}[field]
@@ -685,35 +690,25 @@ class TestPersistence:
                            match=r"format version 1 unsupported.*re-run `symbed embed`"):
             load_embedding(tmp_path / "e")
 
+    # ids fixed so that the cases keep their names
     @pytest.mark.parametrize("config,values", [
-        ({}, [0.5]),
-        ({"bins": 1}, [0.5]),
-        ({"bins": "256"}, [0.5]),
-        ({"bins": True}, [0.5]),
         ({"bins": 256}, [0.5, 0.3]),
         ({"bins": 256}, [0.5, float("nan")]),
         ({"bins": 256}, [float("inf")]),
         ({"bins": 256}, [-0.0]),
         ({"bins": 256}, [1e300]),
-    ])
+    ], ids=[f"config{i}-values{i}" for i in range(4, 9)])
     def test_unquantized_16_bit_save_writes_nothing(self, tmp_path, config, values):
         m = sp.csr_matrix((np.array(values), (np.arange(len(values)),
                                               np.zeros(len(values), dtype=int))),
                           shape=(len(values), 1))
-        emb = Embedding(matrix=m, ind=np.zeros(1, dtype=int), config=config,
-                        value_bits=16)
+        emb = Embedding(matrix=m, ind=np.zeros(1, dtype=int), config=config)
+        assert emb.value_bits == 16
         out = tmp_path / "e"
         out.mkdir()
         with pytest.raises(ValueError):
             save_embedding(emb, out)
         assert list(out.iterdir()) == []
-
-    def test_other_value_bits_not_saved(self, tmp_path):
-        emb = Embedding(matrix=sp.csr_matrix(np.eye(2)), ind=np.arange(2),
-                        config={}, value_bits=8)
-        with pytest.raises(ValueError, match="value_bits must be 16 or 32"):
-            save_embedding(emb, tmp_path / "e")
-        assert not (tmp_path / "e").exists()
 
     def test_feature_map_line_count(self, tmp_path):
         g = random_graph(20, 4, seed=1)
@@ -864,6 +859,18 @@ class TestPersistence:
         cfg_file.write_text(json.dumps(meta))
         with pytest.raises(EmbeddingFormatError,
                            match="config.json: key 'config.bins' must be an integer >= 2"):
+            load_embedding(tmp_path / "e")
+
+    def test_32_bit_with_valid_bins_rejected(self, tmp_path):
+        # bins 256 makes the embedding 16-bit, so a 32-bit record contradicts it
+        cfg_file = self._saved(tmp_path) / "config.json"
+        meta = json.loads(cfg_file.read_text())
+        assert meta["value_bits"] == 32
+        meta["config"]["bins"] = 256
+        cfg_file.write_text(json.dumps(meta))
+        with pytest.raises(EmbeddingFormatError,
+                           match="config.json: key 'value_bits' must be 16 when "
+                                 "'config.bins' is 256, got 32"):
             load_embedding(tmp_path / "e")
 
     def test_16_bit_real_field_rejected(self, tmp_path):

@@ -333,7 +333,9 @@ class TestProtocol:
         with pytest.raises(ValueError, match="empty"):
             ProtocolConfig(train_fractions=())
 
-    @pytest.mark.parametrize("kwargs", [{"shuffles": 0}, {"repetitions": 0}])
+    @pytest.mark.parametrize("kwargs", [{"shuffles": 0}, {"repetitions": 0},
+                                        {"shuffles": float("nan")},
+                                        {"repetitions": float("nan")}])
     def test_count_validation(self, kwargs):
         with pytest.raises(ValueError, match="shuffles and repetitions must be >= 1"):
             ProtocolConfig(**kwargs)

@@ -231,6 +231,15 @@ class TestFromArcs:
         with pytest.raises(ValueError, match=f"{end} node id out of range"):
             from_arcs(3, src, dst)
 
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("src, dst, weights", [
+        ([0], [1], [1.0, 2.0]), ([0, 1], [1, 0], [1.0]),
+    ])
+    def test_weight_count_must_match_arcs(self, src, dst, weights, directed):
+        with pytest.raises(ValueError,
+                           match=f"weights has {len(weights)} entries, src has {len(src)}"):
+            from_arcs(2, src, dst, weights, directed=directed)
+
     @pytest.mark.parametrize("offsets,targets,weights,message", [
         ([0, 1], [1], None, "offsets length must be num_nodes \\+ 1"),
         ([1, 1, 1], [], None, "offsets must be nondecreasing and start at 0"),

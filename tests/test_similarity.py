@@ -2,8 +2,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.spatial.distance import cdist
 
-from symbed.embedding import VARIANCE_FLOOR, compute_variances
+from symbed.embedding import (METRICS, VARIANCE_FLOOR, _metric_columns,
+                              _prepare_metric, compute_variances)
+from symbed.synth import random_graph
+from symbed.walks import WalkConfig, hash_all
 
 from oracles import HashVector, similarity
 
@@ -24,7 +28,7 @@ def dense_metric(a, b, metric, n, variances=None):
     if metric == "euclidean":
         return float(np.linalg.norm(av - bv))
     if metric == "seuclidean":
-        return float(np.sqrt(np.sum((av - bv) ** 2 / variances ** 2)))
+        return float(np.sqrt(np.sum((av - bv) ** 2 / variances)))
     if metric == "canberra":
         num, den = np.abs(av - bv), np.abs(av) + np.abs(bv)
         return float(np.sum(num[den > 0] / den[den > 0]))
@@ -79,10 +83,10 @@ class TestSpecificValues:
         # coordinate 0 contributes 0, coordinates 1 and 2 contribute 1 each
         assert similarity(a, b, "canberra") == pytest.approx(2.0, abs=1e-12)
 
-    def test_seuclidean_divides_by_squared_variance(self):
+    def test_seuclidean_divides_by_variance(self):
         a, b = hv({0: 0.8, 1: 0.2}), hv({0: 0.2, 1: 0.8})
         v = np.array([0.5, 0.25])
-        want = np.sqrt(0.6 ** 2 / 0.5 ** 2 + 0.6 ** 2 / 0.25 ** 2)
+        want = np.sqrt(0.6 ** 2 / 0.5 + 0.6 ** 2 / 0.25)
         assert similarity(a, b, "seuclidean", v) == pytest.approx(want, abs=1e-12)
 
     def test_seuclidean_requires_variances(self):
@@ -165,3 +169,25 @@ class TestVariances:
         v = compute_variances(sp.csr_matrix(dense))
         np.testing.assert_allclose(v, np.maximum(dense.var(axis=0), VARIANCE_FLOOR),
                                    atol=1e-12)
+
+
+class TestLibraryMatchesScipy:
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_metric_columns_match_cdist(self, metric):
+        h = hash_all(random_graph(60, 3, seed=2), WalkConfig(num_walks=64, seed=1))
+        assert np.diff(h.indptr).min() > 0  # cosine and jaccard of empty rows differ
+        pivots = np.array([5, 0, 59, 17, 33])
+        got = _metric_columns(h, pivots, metric, _prepare_metric(h, metric)).toarray()
+        a, p = h.toarray(), h[pivots].toarray()
+        if metric == "cosine":
+            want = 1.0 - cdist(a, p, "cosine")
+        elif metric == "jaccard":
+            want = 1.0 - cdist(a != 0, p != 0, "jaccard")
+        elif metric == "seuclidean":
+            want = cdist(a, p, "seuclidean", V=compute_variances(h))
+        else:
+            want = cdist(a, p, metric)
+        # the euclidean paths expand |a - b|^2 as |a|^2 + |b|^2 - 2 a.b, whose
+        # cancellation near zero costs about sqrt(ulp) of the value scale
+        np.testing.assert_allclose(got, want, rtol=1e-9,
+                                   atol=1e-7 * (1.0 + float(want.max())))
