@@ -107,8 +107,8 @@ class EmbeddingConfig:
             raise ValueError("budget_dim must be >= 1")
         if self.bins is None:
             object.__setattr__(self, "bins", 256 if self.mode == "sdf" else 0)
-        if not (self.bins == 0 or self.bins >= 2):
-            raise ValueError("bins must be 0 (disabled) or >= 2")
+        if not (_is_int(self.bins) and (self.bins == 0 or self.bins >= 2)):
+            raise ValueError("bins must be 0 (disabled) or >= 2, an integer")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
 

@@ -224,6 +224,7 @@ class TestSdfMode:
         ({"d": float("nan")}, "d must be >= 1"),
         ({"budget_dim": float("nan")}, "budget_dim must be >= 1"),
         ({"bins": float("nan")}, r"bins must be 0 \(disabled\) or >= 2"),
+        ({"bins": 2.5}, r"bins must be 0 \(disabled\) or >= 2, an integer"),
     ])
     def test_config_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
