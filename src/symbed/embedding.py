@@ -55,9 +55,8 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial.distance import cdist
 
-from .graph import Graph, canonical_pairs
+from .graph import Graph, canonical_pairs, int_setting
 from .ranking import PageRankConfig, pagerank, rank_nodes
 from .walks import WalkConfig, hash_all
 
@@ -74,8 +73,8 @@ _COLUMN_CHUNK = 128
 _PRODUCT_CHUNK = 512
 
 # Cosine and jaccard are similarities in [0, 1]; euclidean, seuclidean and
-# canberra are distances >= 0 over the union of two hashes' supports, with
-# absent coordinates counted as 0.
+# canberra are distances >= 0 over the union of two hashes' supports (absent
+# coordinates count as 0), each scored from the pivots' supports alone.
 METRICS = ("cosine", "euclidean", "seuclidean", "canberra", "jaccard")
 
 # Floor of the per-dimension variances seuclidean divides by: a dimension
@@ -100,15 +99,11 @@ class EmbeddingConfig:
     def __post_init__(self):
         if self.mode not in ("fixed", "sdf"):
             raise ValueError(f"mode must be 'fixed' or 'sdf', got {self.mode!r}")
-        # each comparison is written so that NaN fails it
-        if not self.d >= 1:
-            raise ValueError("d must be >= 1")
-        if not self.budget_dim >= 1:
-            raise ValueError("budget_dim must be >= 1")
-        if self.bins is None:
-            object.__setattr__(self, "bins", 256 if self.mode == "sdf" else 0)
-        if not (_is_int(self.bins) and (self.bins == 0 or self.bins >= 2)):
-            raise ValueError("bins must be 0 (disabled) or >= 2, an integer")
+        for name in ("d", "budget_dim"):
+            object.__setattr__(self, name, int_setting(name, getattr(self, name), 1))
+        bins = (256 if self.mode == "sdf" else 0) if self.bins is None else self.bins
+        object.__setattr__(self, "bins", int_setting(
+            "bins", bins, 0 if bins == 0 else 2, "0 (disabled) or >= 2"))
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
 
@@ -155,7 +150,7 @@ def compute_variances(hashes: sp.csr_matrix) -> np.ndarray:
 
     Absent coordinates count as zeros.  Variances are floored to
     VARIANCE_FLOOR to keep the standardized Euclidean denominator positive:
-    seuclidean is ``sqrt(sum((a - b) ** 2 / V))``, as in scipy's ``cdist``.
+    seuclidean is ``sqrt(sum((a - b) ** 2 / V))``, as scipy defines it.
     """
     if hashes.shape[0] < 2:
         raise ValueError("need at least 2 hash vectors")
@@ -174,36 +169,38 @@ def _l2_normalized_rows(h: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def _metric_columns(h: sp.csr_matrix, pivots: np.ndarray, metric: str,
-                    prepared: tuple[sp.csr_matrix, sp.csr_matrix] | None
-                    ) -> sp.csc_matrix:
+                    prepared: tuple[sp.csr_matrix, sp.csr_matrix]) -> sp.csc_matrix:
     """Scores of every node against the given pivot nodes, one CSC column each.
 
-    `prepared` is what _prepare_metric(h, metric) returns, computed once so
-    the column path's chunks do not redo the work.  The product metrics
-    compute a chunk pivot-major, ``rows[pivots] @ rows_t``: only the pivots'
-    rows are walked, and the product's transpose is the ``n x len(pivots)``
-    CSC block, with no conversion per chunk.  Every row of ``rows`` lists its
-    features in one order, so each score sums the same products in the same
-    order as ``rows @ rows[pivots].T`` would: the values are the same bits.
+    `prepared` is what _prepare_metric(h, metric) returns, computed once for
+    all chunks.  A chunk walks only its pivots' rows ``p = rows[pivots]``,
+    joined with ``rows_t``.  The product metrics take ``(p @ rows_t).T``, an
+    ``n x len(pivots)`` CSC block whose scores sum the same products in the
+    same order as ``rows @ p.T``: the same bits.  Canberra's values must be
+    positive, as ``hash_all``'s are: with supports ``S``, a coordinate on one
+    side only adds 1, so the distance is ``|S_x| + |S_p| + sum(f - 2)`` over
+    shared coordinates, ``f = |x_i - p_i| / (x_i + p_i)``.  The join
+    ``rows_t[p.indices]`` lists the nodes sharing each coordinate of ``p``; a
+    0/1 ``pivots x entries`` product sums the f (real part) and counts them.
     """
-    if metric == "canberra":
-        # no product decomposition; chunked dense evaluation
-        pdense = np.asarray(h[pivots].todense())
-        out = []
-        step = max(1, 2_000_000 // max(h.shape[1], 1))
-        for lo in range(0, h.shape[0], step):
-            block = np.asarray(h[lo:lo + step].todense())
-            out.append(cdist(block, pdense, metric="canberra"))
-        return sp.csc_matrix(np.vstack(out))
     rows, rows_t = prepared
-    s = (rows[pivots] @ rows_t).T
+    p, sizes = rows[pivots], np.diff(h.indptr)
+    if metric == "canberra":
+        shared = rows_t[p.indices]
+        x, v = shared.data, np.repeat(p.data, np.diff(shared.indptr))
+        shared.data = np.abs(x - v) / (x + v) + 1j
+        s = (sp.csr_matrix((np.ones(p.nnz), np.arange(p.nnz), p.indptr),
+                           shape=(len(pivots), p.nnz)) @ shared).T
+        # the count (imaginary part) first: each f - 2 would round f away
+        return sp.csc_matrix(sizes[:, None] + sizes[pivots]
+                             - 2.0 * s.imag.toarray() + s.real.toarray())
+    s = (p @ rows_t).T
     if metric == "cosine":
         np.clip(s.data, 0.0, 1.0, out=s.data)
         _set_exact_unit_diagonal(s, pivots, h)
         return s
     if metric == "jaccard":
         # rows are 0/1, so s holds intersection sizes
-        sizes = np.diff(h.indptr)
         per_col = np.diff(s.indptr)
         union = sizes[s.indices] + np.repeat(sizes[pivots], per_col) - s.data
         return sp.csc_matrix((s.data / union, s.indices, s.indptr), shape=s.shape)
@@ -224,13 +221,11 @@ def _set_exact_unit_diagonal(s: sp.csc_matrix, pivots: np.ndarray,
 
 
 def _prepare_metric(h: sp.csr_matrix, metric: str
-                    ) -> tuple[sp.csr_matrix, sp.csr_matrix] | None:
-    """Rows _metric_columns multiplies for the metric, with their transpose
+                    ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Rows _metric_columns joins for the metric, with their transpose
     converted to CSR once: unit rows for cosine, 0/1 rows for jaccard, the
-    hash rows for euclidean, rows scaled by ``1 / sqrt(V)`` for seuclidean.
-    Canberra has no product form and needs nothing (None)."""
-    if metric == "canberra":
-        return None
+    hash rows for euclidean and canberra, rows scaled by ``1 / sqrt(V)`` for
+    seuclidean."""
     if metric == "cosine":
         rows = _l2_normalized_rows(h)
     elif metric == "jaccard":

@@ -19,7 +19,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from .embedding import Embedding
-from .graph import Graph, LabelTable
+from .graph import Graph, LabelTable, int_setting
 
 
 class ProtocolError(ValueError):
@@ -126,8 +126,9 @@ class ProtocolConfig:
         for f in self.train_fractions:
             if not 0.0 < f < 1.0:
                 raise ValueError(f"train fraction {f} outside (0, 1)")
-        if not (self.shuffles >= 1 and self.repetitions >= 1):  # NaN fails
-            raise ValueError("shuffles and repetitions must be >= 1")
+        for name, minimum in (("shuffles", 1), ("repetitions", 1), ("seed", 0)):
+            object.__setattr__(self, name,
+                               int_setting(name, getattr(self, name), minimum))
 
 
 @dataclass
@@ -319,8 +320,8 @@ def random_embedding(n: int, dim: int = 64, seed: int = 0) -> Embedding:
 
     Its empty ``ind`` names no pivot nodes, so save_embedding refuses it.
     """
-    if n < 1 or dim < 1:
-        raise ValueError("n and dim must be >= 1")
+    n, dim = int_setting("n", n, 1), int_setting("dim", dim, 1)
+    seed = int_setting("seed", seed, 0)
     rng = np.random.default_rng(seed)
     mat = sp.csr_matrix(rng.random((n, dim)))
     return Embedding(matrix=mat, ind=np.array([], dtype=np.int64),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import re
 from dataclasses import asdict, dataclass
@@ -21,6 +22,25 @@ _MAX_NODE_ID = _MAX_NODES - 1
 
 class GraphFormatError(ValueError):
     """Malformed edge-list or label file."""
+
+
+def int_setting(name: str, value, minimum: int, rule: str | None = None) -> int:
+    """An integer setting as a Python int, numpy integers included.
+
+    Raises ValueError naming ``name`` for a bool, a float (NaN included), a
+    string or another non-integer, and for an integer below ``minimum``;
+    ``rule`` words the requirement when ``>= minimum`` does not.
+    """
+    if not isinstance(value, bool):
+        try:
+            value = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if value >= minimum:
+                return value
+    raise ValueError(f"{name} must be {rule or f'>= {minimum}'}, an integer, "
+                     f"got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph
+from .graph import Graph, int_setting
 
 
 class ConvergenceWarning(UserWarning):
@@ -26,8 +26,8 @@ class PageRankConfig:
         # each comparison is written so that NaN fails it
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if not self.max_iters >= 1:
-            raise ValueError("max_iters must be >= 1")
+        object.__setattr__(self, "max_iters",
+                           int_setting("max_iters", self.max_iters, 1))
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph
+from .graph import Graph, int_setting
 from .rng import skip_ahead, stream_key, uniform_at
 
 
@@ -56,8 +56,9 @@ class WalkConfig:
         # each comparison is written so that NaN fails it
         if not np.all(w >= 0) or not abs(w.sum() - 1.0) <= 1e-9:
             raise ValueError("length_probs must be nonnegative and sum to 1")
-        if not self.num_walks >= 1:
-            raise ValueError("num_walks must be >= 1")
+        for name, minimum in (("num_walks", 1), ("seed", 0)):
+            object.__setattr__(self, name,
+                               int_setting(name, getattr(self, name), minimum))
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError("epsilon must lie in [0, 1)")
         w.setflags(write=False)

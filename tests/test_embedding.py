@@ -475,17 +475,18 @@ class TestWorkerThreads:
         assert got.num_columns == 2
         assert len(calls) <= got.num_columns + workers - 1
 
-    @pytest.mark.parametrize("metric", ["euclidean", "seuclidean"])
+    @pytest.mark.parametrize("metric", ["euclidean", "seuclidean", "canberra"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_dense_metric_memory_bounded_by_workers_chunks(
             self, monkeypatch, metric, workers):
         # distance columns are dense: a chunk of c columns builds n x c float64
         # arrays.  Each of the at most `workers` chunks in flight holds at most
-        # seven n x 128 float64 arrays at once (the product densified, the
-        # squared distances, their roots, the coordinates and values of the
-        # CSC conversion); the rest (the hash transpose, PageRank, a
-        # 3-column result) stays under the stated constant.  Chunks of 512
-        # columns, as cosine and jaccard take, would be about four times this.
+        # seven n x 128 float64 arrays at once (the product or canberra's
+        # shared-coordinate sums densified, the distances, the euclidean
+        # roots, the coordinates and values of the CSC conversion); the rest
+        # (the hash transpose, PageRank, a 3-column result) stays under the
+        # stated constant.  Chunks of 512 columns, as cosine and jaccard
+        # take, would be about four times this.
         n = 4000
         cfg = small_cfg("sdf", budget_dim=2, metric=metric)
         emb, peak = _traced_peak(monkeypatch, embed_sdf, n, cfg, workers)
@@ -495,24 +496,20 @@ class TestWorkerThreads:
         assert peak <= workers * chunk_bytes + constant, \
             f"peak {peak} above {workers} x {chunk_bytes} + {constant}"
 
-    @pytest.mark.parametrize("metric, n, row_block", [
-        ("euclidean", 4000, 0), ("seuclidean", 4000, 0),
-        ("canberra", 2000, 2_000_000 * 8)])
+    @pytest.mark.parametrize("metric", ["euclidean", "seuclidean", "canberra"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_fixed_dense_metric_memory_bounded_by_workers_chunks(
-            self, monkeypatch, metric, n, row_block, workers):
+            self, monkeypatch, metric, workers):
         # fixed mode takes its d = 1024 columns in chunks of 128, the sdf
-        # test's seven n x 128 float64 arrays each, plus for canberra the
-        # row block of 2,000,000 densified hash coordinates it compares the
-        # pivots with.  The kept chunks and their stack, then the stack and
-        # its CSR copy, are two copies of the output at 12 bytes a stored
-        # value (float64 data, int32 indices).  All d columns as one chunk
-        # would hold seven n x d arrays.
-        d = 1024
+        # test's seven n x 128 float64 arrays each.  The kept chunks and
+        # their stack, then the stack and its CSR copy, are two copies of the
+        # output at 12 bytes a stored value (float64 data, int32 indices).
+        # All d columns as one chunk would hold seven n x d arrays.
+        n, d = 4000, 1024
         cfg = small_cfg(d=d, metric=metric)
         emb, peak = _traced_peak(monkeypatch, embed_fixed, n, cfg, workers)
         assert emb.matrix.shape == (n, d)
-        chunk_bytes = 7 * n * 128 * 8 + row_block
+        chunk_bytes = 7 * n * 128 * 8
         output_bytes = 2 * 12 * emb.nnz
         constant = 2 * 2**20
         bound = workers * chunk_bytes + output_bytes + constant

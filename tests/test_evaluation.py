@@ -337,7 +337,8 @@ class TestProtocol:
                                         {"shuffles": float("nan")},
                                         {"repetitions": float("nan")}])
     def test_count_validation(self, kwargs):
-        with pytest.raises(ValueError, match="shuffles and repetitions must be >= 1"):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, an integer"):
             ProtocolConfig(**kwargs)
 
     def test_needs_embedding_or_factory(self):

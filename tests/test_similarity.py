@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from symbed.embedding import (METRICS, VARIANCE_FLOOR, _metric_columns,
@@ -191,3 +193,47 @@ class TestLibraryMatchesScipy:
         # cancellation near zero costs about sqrt(ulp) of the value scale
         np.testing.assert_allclose(got, want, rtol=1e-9,
                                    atol=1e-7 * (1.0 + float(want.max())))
+
+
+@st.composite
+def positive_rows_and_pivots(draw):
+    """A small CSR matrix of positive values, as hash_all stores, and pivot
+    rows: empty rows, disjoint and overlapping supports, values repeated
+    across rows, duplicate rows, and copies of a row with every value nudged,
+    whose small distance sums terms far below 1."""
+    num_cols = draw(st.integers(1, 8))
+    values = st.sampled_from([0.25, 0.5, 1.0]) | st.floats(
+        1e-9, 1.0, allow_subnormal=False)
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["new", "copy", "nudged"]) if rows
+                    else st.just("new"))
+        if kind == "new":
+            cols = draw(st.sets(st.integers(0, num_cols - 1)))
+            rows.append({c: draw(values) for c in cols})
+        else:
+            row = draw(st.sampled_from(rows))
+            nudge = st.just(0.0) if kind == "copy" else st.floats(1e-9, 1e-3)
+            rows.append({c: v * (1.0 + draw(nudge)) for c, v in row.items()})
+    dense = np.zeros((len(rows), num_cols))
+    for i, row in enumerate(rows):
+        dense[i, list(row)] = list(row.values())
+    pivots = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=6))
+    return sp.csr_matrix(dense), np.array(pivots)
+
+
+class TestCanberraMatchesScipy:
+    @settings(max_examples=200, deadline=None)
+    @given(positive_rows_and_pivots())
+    def test_canberra_columns_match_cdist(self, case):
+        h, pivots = case
+        got = _metric_columns(h, pivots, "canberra",
+                              _prepare_metric(h, "canberra")).toarray()
+        a, p = h.toarray(), h[pivots].toarray()
+        want = cdist(a, p, "canberra")
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        # a coordinate held by one side only adds exactly 1
+        apart = ((a != 0).astype(int) @ (p != 0).T.astype(int)) == 0
+        np.testing.assert_array_equal(got[apart], want[apart])
+        same = (a[:, None, :] == p[None, :, :]).all(axis=2)
+        assert np.all(got[same] == 0.0) and not np.signbit(got[same]).any()
