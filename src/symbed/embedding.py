@@ -2,10 +2,10 @@
 
 One column path serves both modes.  It walks the PageRank order in chunks
 of pivot columns, scores every node against each chunk's pivots, quantizes
-the chunk, and stops by the mode's rule: fixed mode after ``d`` columns
-(the last chunk cut at ``d``), the budgeted ("sdf") mode once the ranked
-columns' total nonzero count exhausts ``num_nodes * budget_dim`` values (the
-column crossing the budget is kept).
+the chunk, and stops by one budget rule: once the ranked columns' total
+nonzero count exhausts the budget (the column crossing it is kept).  The
+budgeted ("sdf") mode's budget is ``num_nodes * budget_dim`` values; fixed
+mode's is unbounded, and its columns end at ``d`` (the last chunk cut there).
 
 Chunks are column-major: a chunk is computed pivot-major, as the pivots'
 rows times a transpose of the node rows that is converted to CSR once, and
@@ -48,6 +48,7 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
+from contextlib import nullcontext
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import islice
@@ -110,11 +111,17 @@ class EmbeddingConfig:
 
 @dataclass
 class Embedding:
-    """Node-by-pivot score matrix plus the column -> node id map."""
+    """Node-by-pivot score matrix, any scipy sparse one kept as CSR, plus
+    the column -> node id map."""
 
     matrix: sp.csr_matrix
     ind: np.ndarray
     config: dict
+
+    def __post_init__(self):
+        if not sp.issparse(self.matrix):
+            raise TypeError(f"matrix must be scipy sparse, got {type(self.matrix)}")
+        self.matrix = self.matrix.tocsr()
 
     @property
     def num_nodes(self) -> int:
@@ -160,82 +167,80 @@ def compute_variances(hashes: sp.csr_matrix) -> np.ndarray:
     return np.maximum(var, VARIANCE_FLOOR)
 
 
-def _l2_normalized_rows(h: sp.csr_matrix) -> sp.csr_matrix:
-    norms = np.sqrt(np.asarray(h.multiply(h).sum(axis=1)).ravel())
-    inv = np.zeros_like(norms)
-    nz = norms > 0
-    inv[nz] = 1.0 / norms[nz]
-    return sp.diags(inv) @ h
-
-
-def _metric_columns(h: sp.csr_matrix, pivots: np.ndarray, metric: str,
-                    prepared: tuple[sp.csr_matrix, sp.csr_matrix]) -> sp.csc_matrix:
+def _metric_columns(prepared: tuple, pivots: np.ndarray) -> sp.csc_matrix:
     """Scores of every node against the given pivot nodes, one CSC column each.
 
     `prepared` is what _prepare_metric(h, metric) returns, computed once for
-    all chunks.  A chunk walks only its pivots' rows ``p = rows[pivots]``,
-    joined with ``rows_t``.  The product metrics take ``(p @ rows_t).T``, an
-    ``n x len(pivots)`` CSC block whose scores sum the same products in the
-    same order as ``rows @ p.T``: the same bits.  Canberra's values must be
-    positive, as ``hash_all``'s are: with supports ``S``, a coordinate on one
-    side only adds 1, so the distance is ``|S_x| + |S_p| + sum(f - 2)`` over
-    shared coordinates, ``f = |x_i - p_i| / (x_i + p_i)``.  The join
+    all chunks, so ``h`` itself is not passed.  A chunk walks only its pivots'
+    rows ``p = rows[pivots]``, joined with ``rows_t``: ``p @ rows_t`` sums the
+    same products in the same order as ``rows @ p.T``, the same bits, and an
+    empty pivot row stores no product.  Cosine and jaccard transpose it into
+    an ``n x len(pivots)`` CSC block.  Canberra's values must be positive, as
+    ``hash_all``'s are: with supports ``S``, a coordinate on one side only
+    adds 1, so the distance is ``|S_x| + |S_p| + sum(f - 2)`` over shared
+    coordinates, ``f = |x_i - p_i| / (x_i + p_i)``.  The join
     ``rows_t[p.indices]`` lists the nodes sharing each coordinate of ``p``; a
     0/1 ``pivots x entries`` product sums the f (real part) and counts them.
+    The distance metrics fill a dense ``len(pivots) x n`` block in place,
+    whose rows become the CSC columns on the same values.
     """
-    rows, rows_t = prepared
-    p, sizes = rows[pivots], np.diff(h.indptr)
+    metric, rows, rows_t, term = prepared
+    p = rows[pivots]
+    if metric in ("cosine", "jaccard"):
+        s = (p @ rows_t).T
+        if metric == "cosine":
+            np.clip(s.data, 0.0, 1.0, out=s.data)
+            # a pivot's cosine with itself is exactly 1; fix rounding
+            s.data[s.indices == np.repeat(pivots, np.diff(s.indptr))] = 1.0
+            return s
+        # rows are 0/1, so s holds intersection sizes
+        union = term[s.indices] + np.repeat(term[pivots], np.diff(s.indptr)) - s.data
+        return sp.csc_matrix((s.data / union, s.indices, s.indptr), shape=s.shape)
     if metric == "canberra":
         shared = rows_t[p.indices]
         x, v = shared.data, np.repeat(p.data, np.diff(shared.indptr))
         shared.data = np.abs(x - v) / (x + v) + 1j
-        s = (sp.csr_matrix((np.ones(p.nnz), np.arange(p.nnz), p.indptr),
-                           shape=(len(pivots), p.nnz)) @ shared).T
-        # the count (imaginary part) first: each f - 2 would round f away
-        return sp.csc_matrix(sizes[:, None] + sizes[pivots]
-                             - 2.0 * s.imag.toarray() + s.real.toarray())
-    s = (p @ rows_t).T
-    if metric == "cosine":
-        np.clip(s.data, 0.0, 1.0, out=s.data)
-        _set_exact_unit_diagonal(s, pivots, h)
-        return s
+        s = sp.csr_matrix((np.ones(p.nnz), np.arange(p.nnz), p.indptr),
+                          shape=(len(pivots), p.nnz)) @ shared
+        # |S_p| + |S_x| - 2 count + sum f: the count (imaginary part) first,
+        # as each f - 2 would round f away
+        block = -2.0 * s.imag.toarray()
+        block += term[pivots][:, None] + term
+        block += s.real.toarray()
+    else:
+        # euclidean and seuclidean: |p|^2 + |x|^2 - 2 p.x
+        block = -2.0 * (p @ rows_t).toarray()
+        block += term[pivots][:, None] + term
+        np.sqrt(np.clip(block, 0.0, None, out=block), out=block)
+    # column j is block row j, on the block's values: sp.csc_matrix(block.T)
+    # would also build int64 coordinates for every entry
+    c, n = block.shape
+    cols = sp.csc_matrix((block.ravel(), np.tile(np.arange(n, dtype=np.int32), c),
+                          np.arange(c + 1) * n), shape=(n, c))
+    cols.eliminate_zeros()
+    return cols
+
+
+def _prepare_metric(h: sp.csr_matrix, metric: str) -> tuple:
+    """``(metric, rows, rows_t, term)``: what _metric_columns needs of every
+    node, computed once for all chunks.  ``rows`` are unit rows for cosine,
+    0/1 rows for jaccard, the hash rows for euclidean and canberra, rows
+    scaled by ``1 / sqrt(V)`` for seuclidean; ``rows_t`` is their transpose
+    converted to CSR.  ``term`` is each row's squared norm before any unit
+    scaling (cosine, euclidean, seuclidean), else each hash's support size."""
+    rows, term = h, np.diff(h.indptr)
     if metric == "jaccard":
-        # rows are 0/1, so s holds intersection sizes
-        per_col = np.diff(s.indptr)
-        union = sizes[s.indices] + np.repeat(sizes[pivots], per_col) - s.data
-        return sp.csc_matrix((s.data / union, s.indices, s.indptr), shape=s.shape)
-    # euclidean and seuclidean: |a|^2 + |b|^2 - 2 a.b, densified
-    sq = np.asarray(rows.multiply(rows).sum(axis=1)).ravel()
-    d2 = sq[:, None] + sq[pivots][None, :] - 2.0 * s.toarray()
-    np.clip(d2, 0.0, None, out=d2)
-    return sp.csc_matrix(np.sqrt(d2))
-
-
-def _set_exact_unit_diagonal(s: sp.csc_matrix, pivots: np.ndarray,
-                             h: sp.csr_matrix) -> None:
-    """Cosine of a nonempty hash with itself is exactly 1; fix rounding."""
-    per_col = np.diff(s.indptr)
-    nonempty = np.diff(h.indptr)[pivots] > 0
-    own = (s.indices == np.repeat(pivots, per_col)) & np.repeat(nonempty, per_col)
-    s.data[own] = 1.0
-
-
-def _prepare_metric(h: sp.csr_matrix, metric: str
-                    ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Rows _metric_columns joins for the metric, with their transpose
-    converted to CSR once: unit rows for cosine, 0/1 rows for jaccard, the
-    hash rows for euclidean and canberra, rows scaled by ``1 / sqrt(V)`` for
-    seuclidean."""
-    if metric == "cosine":
-        rows = _l2_normalized_rows(h)
-    elif metric == "jaccard":
         rows = h.copy()
         rows.data = np.ones_like(rows.data)
     elif metric == "seuclidean":
         rows = (h @ sp.diags(1.0 / np.sqrt(compute_variances(h)))).tocsr()
-    else:
-        rows = h
-    return rows, rows.T.tocsr()
+    if metric in ("cosine", "euclidean", "seuclidean"):
+        term = np.asarray(rows.multiply(rows).sum(axis=1)).ravel()
+    if metric == "cosine":
+        norms = np.sqrt(term)
+        rows = sp.diags(np.divide(1.0, norms, out=np.zeros_like(norms),
+                                  where=norms > 0)) @ rows
+    return metric, rows, rows.T.tocsr(), term
 
 
 def _config_snapshot(cfg: EmbeddingConfig) -> dict:
@@ -267,7 +272,7 @@ def _in_order(pool: ThreadPoolExecutor, fn, args, ahead: int):
 def _embed(g: Graph, cfg: EmbeddingConfig, workers: int
            ) -> tuple[Embedding, sp.csr_matrix, dict[str, float]]:
     """The column path: ranked pivot columns, scored and quantized a chunk at
-    a time, until the rule of ``cfg.mode`` stops it.
+    a time, until the budget rule stops it or, in fixed mode, ``d`` are taken.
 
     With ``workers > 1`` one pool of that many threads prepares the metric's
     rows while PageRank runs and scores up to ``workers`` chunks at once, in
@@ -278,19 +283,19 @@ def _embed(g: Graph, cfg: EmbeddingConfig, workers: int
     seconds spent in the ``walks+hash``, ``pagerank`` and ``similarity``
     stages.
     """
+    workers = int_setting("workers", workers, 1)
     if cfg.mode == "fixed" and cfg.d > g.num_nodes:
         raise ValueError(f"d={cfg.d} exceeds the number of nodes {g.num_nodes}")
     sdf = cfg.mode == "sdf"
     limit = g.num_nodes if sdf else cfg.d
+    budget = g.num_nodes * cfg.budget_dim if sdf else np.inf   # fixed: cut at d
     step = _PRODUCT_CHUNK if cfg.metric in ("cosine", "jaccard") else _COLUMN_CHUNK
-    budget = g.num_nodes * cfg.budget_dim   # spent only in sdf mode
     kept: list[sp.csc_matrix] = []
     # no pool at one worker: a one-thread pool in its place raised
     # protocol-cora's peak RSS by about 9 MB and its wall time by about 10%
     # (2-vCPU machine), likely as the pool thread's own malloc arena keeps
     # freed chunks
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         t0 = time.perf_counter()
         h = hash_all(g, cfg.walk, workers=workers)
         t1 = time.perf_counter()
@@ -302,8 +307,7 @@ def _embed(g: Graph, cfg: EmbeddingConfig, workers: int
                     else prepared.result())
 
         def chunk(lo: int) -> sp.csc_matrix:
-            cols = _metric_columns(h, order[lo:min(lo + step, limit)], cfg.metric,
-                                   prepared)
+            cols = _metric_columns(prepared, order[lo:min(lo + step, limit)])
             if cfg.bins >= 2:
                 cols.data = _quantize_array(cols.data, cfg.bins)
                 cols.eliminate_zeros()
@@ -313,18 +317,17 @@ def _embed(g: Graph, cfg: EmbeddingConfig, workers: int
         chunks = (map(chunk, starts) if pool is None
                   else _in_order(pool, chunk, starts, workers))
         for cols in chunks:
-            if sdf:
-                # column j enters while the budget left before it is >= 0
-                spent = np.cumsum(np.diff(cols.indptr))
-                take = 1 + int(np.searchsorted(spent[:-1], budget, side="right"))
-                cols = cols[:, :take]
-                budget -= int(spent[take - 1])
+            # column j enters while the budget left before it is >= 0
+            spent = np.cumsum(np.diff(cols.indptr))
+            take = 1 + int(np.searchsorted(spent[:-1], budget, side="right"))
+            # sliced even when whole, on this thread: the copy drops the
+            # full-length arrays eliminate_zeros leaves views of, which kept
+            # embed-sdf-40k's peak RSS 10-20% higher (2-vCPU machine)
+            cols = cols[:, :take]
             kept.append(cols)
+            budget -= int(spent[take - 1])
             if budget < 0:
                 break
-    finally:
-        if pool is not None:
-            pool.shutdown()
     # free the prepared rows, the discarded chunks and, once stacked, the
     # kept ones, so at most two copies of the values are held at once; the
     # one conversion to CSR also sorts every row's indices
@@ -435,7 +438,7 @@ def save_embedding(e: Embedding, out_dir) -> None:
         raise ValueError(f"feature map names {len(e.ind)} columns, the matrix "
                          f"has {e.num_columns}: only pivot-column embeddings "
                          f"can be saved")
-    m = e.matrix.tocsr()
+    m = e.matrix
     bins = _valid_bins(e.config)
     if bins:
         m = sp.csr_matrix((_bin_codes(m.data, bins), m.indices, m.indptr),

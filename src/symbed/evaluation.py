@@ -312,7 +312,7 @@ def run_protocol_lp(g: Graph, labels: LabelTable,
 
     micro_runs, macro_runs = _split_runs(labels, cfg, lambda rep: predict)
     return EvalReport.from_runs(cfg.train_fractions, micro_runs, macro_runs,
-                                {}, {"baseline": "label_propagation", "alpha": alpha})
+                                {}, {"baseline": "label_propagation", "alpha": float(alpha)})
 
 
 def random_embedding(n: int, dim: int = 64, seed: int = 0) -> Embedding:

@@ -43,6 +43,14 @@ def int_setting(name: str, value, minimum: int, rule: str | None = None) -> int:
                      f"got {value!r}")
 
 
+def flag_setting(name: str, value) -> bool:
+    """A flag setting as a Python bool, numpy bools included; ValueError
+    naming ``name`` for anything else, such as the string ``"false"`` or 0."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise ValueError(f"{name} must be a bool, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable directed multigraph in CSR form.

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, int_setting
+from .graph import Graph, flag_setting, int_setting
 
 
 class ConvergenceWarning(UserWarning):
@@ -30,6 +30,9 @@ class PageRankConfig:
                            int_setting("max_iters", self.max_iters, 1))
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
+        for name in ("tolerance", "damping"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "pure_power", flag_setting("pure_power", self.pure_power))
 
 
 def _transition_matrix(g: Graph) -> sp.csr_matrix:

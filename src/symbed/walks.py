@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, int_setting
+from .graph import Graph, flag_setting, int_setting
 from .rng import skip_ahead, stream_key, uniform_at
 
 
@@ -61,6 +61,8 @@ class WalkConfig:
                                int_setting(name, getattr(self, name), minimum))
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError("epsilon must lie in [0, 1)")
+        object.__setattr__(self, "epsilon", float(self.epsilon))
+        object.__setattr__(self, "weighted", flag_setting("weighted", self.weighted))
         w.setflags(write=False)
 
     @property
@@ -185,8 +187,6 @@ def _hash_block(arcs: _SinkArcs, nodes: np.ndarray, lengths: np.ndarray,
 
     keys = keys[:end]
     keys.sort()
-    row_start = np.searchsorted(keys, row_key)
-    thresh = (np.searchsorted(keys, row_key + kt(n)) - row_start + (nw - 1)) * cfg.epsilon
     run_first = np.empty(len(keys), dtype=bool)
     run_first[0] = True
     np.not_equal(keys[1:], keys[:-1], out=run_first[1:])
@@ -199,13 +199,14 @@ def _hash_block(arcs: _SinkArcs, nodes: np.ndarray, lengths: np.ndarray,
     row_ptr = np.append(np.searchsorted(entry, row_key), len(entry))
     row_len = np.diff(row_ptr)
 
+    # every row holds its start node, so no segment here is empty
+    thresh = np.add.reduceat(counts, row_ptr[:-1], dtype=np.int64) * cfg.epsilon
     keep = counts >= np.repeat(thresh, row_len)
     kept_len = np.add.reduceat(keep, row_ptr[:-1], dtype=np.int64)
     empty = kept_len == 0
     if empty.any():
         # a row whose every entry falls below the threshold keeps its first
-        # (lowest-id) most-visited one; every row holds its start node, so
-        # no segment here is empty
+        # (lowest-id) most-visited one
         top = np.repeat(np.maximum.reduceat(counts, row_ptr[:-1]), row_len)
         tied = np.flatnonzero((counts == top) & np.repeat(empty, row_len))
         keep[tied[np.searchsorted(tied, row_ptr[:-1][empty])]] = True
@@ -234,10 +235,10 @@ def hash_all(g: Graph, cfg: WalkConfig, workers: int = 1) -> sp.csr_matrix:
 
     Work is split into node blocks whose walk buffers stay small; blocks may
     run on several threads, and the result is identical for any worker count.
-    Raises ValueError unless ``workers >= 1`` and the graph has a node.
+    Raises ValueError unless ``workers`` is an integer >= 1 and the graph has
+    a node.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = int_setting("workers", workers, 1)
     if g.num_nodes < 1:
         raise ValueError("graph must have at least one node")
     lengths = walk_lengths(cfg)

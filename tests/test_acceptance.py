@@ -262,7 +262,7 @@ class TestScaling:
             prepared = _prepare_metric(H, "cosine")
             order = rank_nodes(pagerank(g))
             ratio, t1, t2 = self._ratio(
-                lambda d: [_metric_columns(H, order[:d], "cosine", prepared)
+                lambda d: [_metric_columns(prepared, order[:d])
                            for _ in range(20)], 1024, 2048)
             print(f"similarity ratio {ratio:.2f} ({t1:.3f}s -> {t2:.3f}s)")
             assert 1.6 <= ratio <= 2.6
@@ -282,8 +282,8 @@ class TestScaling:
 
             def cosine(k):
                 for _ in range(5):
-                    _metric_columns(hashes[k], np.array([0]), "cosine",
-                                    _prepare_metric(hashes[k], "cosine"))
+                    _metric_columns(_prepare_metric(hashes[k], "cosine"),
+                                    np.array([0]))
 
             ratio, t1, t2 = self._ratio(cosine, 100_000, 200_000)
             print(f"cosine ratio {ratio:.2f} ({t1:.3f}s -> {t2:.3f}s)")

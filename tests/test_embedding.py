@@ -21,7 +21,7 @@ from symbed.embedding import (METRICS, Embedding, EmbeddingConfig,
                               _read_feature_map,
                               compute_variances, embed_fixed, embed_sdf,
                               load_embedding, save_embedding)
-from symbed.evaluation import random_embedding
+from symbed.evaluation import ProtocolConfig, random_embedding, run_protocol
 from symbed.graph import from_arcs
 from symbed.ranking import PageRankConfig
 from symbed.synth import planted_partition, random_graph
@@ -338,6 +338,11 @@ def _all_columns(mode, workers):
                  workers=workers)
 
 
+WORKER_RUNS = [lambda w: hash_all(WORKER_GRAPH, WalkConfig(), workers=w),
+               lambda w: _all_columns("fixed", w), lambda w: _all_columns("sdf", w)]
+WORKER_RUN_IDS = ["hash_all", "embed_fixed", "embed_sdf"]
+
+
 def _assert_same_bits(a, b):
     for x, y in [(a.matrix.indptr, b.matrix.indptr), (a.matrix.indices, b.matrix.indices),
                  (a.matrix.data, b.matrix.data), (a.ind, b.ind)]:
@@ -410,16 +415,24 @@ class TestWorkerThreads:
         self._assert_chunks_run_concurrently(monkeypatch, "fixed")
 
     @pytest.mark.parametrize("workers", [0, -1])
-    @pytest.mark.parametrize("run", [
-        lambda w: hash_all(WORKER_GRAPH, WalkConfig(), workers=w),
-        lambda w: _all_columns("fixed", w), lambda w: _all_columns("sdf", w)],
-        ids=["hash_all", "embed_fixed", "embed_sdf"])
+    @pytest.mark.parametrize("run", WORKER_RUNS, ids=WORKER_RUN_IDS)
     def test_workers_below_one_rejected(self, monkeypatch, run, workers):
         def started(*args):
             raise AssertionError("work started")
 
         monkeypatch.setattr(walks, "_sink_arcs", started)
-        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, an integer, got {workers}"):
+            run(workers)
+
+    @pytest.mark.parametrize("workers", [2.5, True, "2"])
+    @pytest.mark.parametrize("run", WORKER_RUNS, ids=WORKER_RUN_IDS)
+    def test_non_integer_workers_rejected(self, monkeypatch, run, workers):
+        def started(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(walks, "_sink_arcs", started)
+        with pytest.raises(ValueError, match=f"workers must be >= 1, an integer, "
+                                             f"got {workers!r}"):
             run(workers)
 
     @pytest.mark.parametrize("run, message", [
@@ -533,6 +546,42 @@ def _traced_peak(monkeypatch, embed, n, cfg, workers):
 
 
 class TestPersistence:
+    def test_numpy_typed_settings_save_the_same_bytes(self, tmp_path):
+        g = random_graph(50, 4, seed=6)
+        python_typed = EmbeddingConfig(
+            d=9, bins=256, walk=WalkConfig(num_walks=16, epsilon=0.0078125, weighted=False),
+            pagerank=PageRankConfig(tolerance=2.0 ** -20, damping=0.875, pure_power=False))
+        numpy_typed = EmbeddingConfig(
+            d=np.int64(9), bins=np.int32(256),
+            walk=WalkConfig(num_walks=np.int64(16), epsilon=np.float32(0.0078125),
+                            weighted=np.bool_(False)),
+            pagerank=PageRankConfig(tolerance=np.float32(2.0 ** -20),
+                                    damping=np.float32(0.875), pure_power=np.bool_(False)))
+        for name, cfg in (("python", python_typed), ("numpy", numpy_typed)):
+            save_embedding(embed_fixed(g, cfg), tmp_path / name)
+        for f in (embedding.MATRIX_FILE, embedding.FEATURE_MAP_FILE, embedding.CONFIG_FILE):
+            assert (tmp_path / "numpy" / f).read_bytes() == (tmp_path / "python" / f).read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["coo", "csc", "lil"])
+    def test_any_sparse_format_kept_as_csr(self, fmt):
+        g, labels = planted_partition(300, 3, 0.05, 0.005, seed=1)
+        emb = embed_fixed(g, small_cfg(d=32))
+        other = Embedding(matrix=emb.matrix.asformat(fmt), ind=emb.ind, config=emb.config)
+        assert other.matrix.format == "csr"
+        _assert_same_bits(other, emb)
+        cfg = ProtocolConfig(train_fractions=(0.5,), shuffles=2, repetitions=1)
+        assert run_protocol(other, labels, cfg).to_json() == \
+            run_protocol(emb, labels, cfg).to_json()
+
+    def test_csr_matrix_kept_as_is(self):
+        m = sp.csr_matrix(np.eye(3))
+        assert Embedding(matrix=m, ind=np.arange(3), config={}).matrix is m
+
+    @pytest.mark.parametrize("matrix", [np.eye(3), [[1.0]], None])
+    def test_non_sparse_matrix_refused(self, matrix):
+        with pytest.raises(TypeError, match="matrix must be scipy sparse"):
+            Embedding(matrix=matrix, ind=np.arange(3), config={})
+
     def test_round_trip(self, tmp_path):
         g = random_graph(35, 4, seed=6)
         emb = embed_fixed(g, small_cfg(d=9))

@@ -432,6 +432,12 @@ class TestLabelPropagation:
         with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
             run_protocol_lp(g, labels, cfg, alpha=alpha)
 
+    def test_numpy_alpha_report_serializes(self):
+        g, labels = planted_partition(50, 2, 0.3, 0.05, seed=9)
+        cfg = ProtocolConfig(train_fractions=(0.4,), shuffles=1, repetitions=1)
+        report = run_protocol_lp(g, labels, cfg, alpha=np.float32(0.875))
+        assert report.to_json() == run_protocol_lp(g, labels, cfg, alpha=0.875).to_json()
+
     def test_path_tie_breaks_to_lower_class(self, path3):
         labels = label_table([{0}, {0}, {1}], 2)
         preds = class_rows(label_propagation(path3, labels, [0, 2], alpha=0.9))

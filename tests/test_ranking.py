@@ -143,6 +143,18 @@ class TestPageRank:
         with pytest.raises(ValueError, match="max_iters must be >= 1"):
             PageRankConfig(max_iters=float("nan"))
 
+    @pytest.mark.parametrize("pure_power", ["no", "", 0, 1, None])
+    def test_pure_power_must_be_a_bool(self, pure_power):
+        with pytest.raises(ValueError, match="pure_power must be a bool"):
+            PageRankConfig(pure_power=pure_power)
+
+    def test_numpy_settings_kept_as_python_values(self):
+        cfg = PageRankConfig(tolerance=np.float32(2.0 ** -20),
+                             damping=np.float32(0.875), pure_power=np.bool_(False))
+        assert (type(cfg.tolerance), type(cfg.damping)) == (float, float)
+        assert (cfg.tolerance, cfg.damping) == (2.0 ** -20, 0.875)
+        assert cfg.pure_power is False
+
 
 class TestRankNodes:
     def test_descending_order(self):

@@ -1,4 +1,7 @@
 
+import tracemalloc
+from functools import lru_cache
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,10 +11,11 @@ from scipy.spatial.distance import cdist
 
 from symbed.embedding import (METRICS, VARIANCE_FLOOR, _metric_columns,
                               _prepare_metric, compute_variances)
+from symbed.ranking import pagerank, rank_nodes
 from symbed.synth import random_graph
 from symbed.walks import WalkConfig, hash_all
 
-from oracles import HashVector, similarity
+from oracles import HashVector, hash_row, similarity
 
 
 def hv(d):
@@ -179,7 +183,7 @@ class TestLibraryMatchesScipy:
         h = hash_all(random_graph(60, 3, seed=2), WalkConfig(num_walks=64, seed=1))
         assert np.diff(h.indptr).min() > 0  # cosine and jaccard of empty rows differ
         pivots = np.array([5, 0, 59, 17, 33])
-        got = _metric_columns(h, pivots, metric, _prepare_metric(h, metric)).toarray()
+        got = _metric_columns(_prepare_metric(h, metric), pivots).toarray()
         a, p = h.toarray(), h[pivots].toarray()
         if metric == "cosine":
             want = 1.0 - cdist(a, p, "cosine")
@@ -193,6 +197,53 @@ class TestLibraryMatchesScipy:
         # cancellation near zero costs about sqrt(ulp) of the value scale
         np.testing.assert_allclose(got, want, rtol=1e-9,
                                    atol=1e-7 * (1.0 + float(want.max())))
+
+
+class TestEmptyRows:
+    @pytest.mark.parametrize("metric", ["cosine", "jaccard"])
+    def test_empty_pivot_column_stores_nothing(self, metric):
+        # rows 5, 17 and 40 emptied: pivots 5 and 17 and nodes 40 and 17
+        h = hash_all(random_graph(60, 3, seed=2), WalkConfig(num_walks=64, seed=1))
+        empty = np.array([5, 17, 40])
+        h.data[np.isin(np.repeat(np.arange(60), np.diff(h.indptr)), empty)] = 0.0
+        h.eliminate_zeros()
+        assert (np.diff(h.indptr) == 0).sum() == len(empty)
+        pivots = np.array([5, 0, 59, 17, 33])
+        got = _metric_columns(_prepare_metric(h, metric), pivots)
+        per_col = np.diff(got.indptr)
+        assert per_col[[0, 3]].tolist() == [0, 0]
+        if metric == "cosine":
+            dense = got.toarray()
+            assert all(dense[p, j] == 1.0 for j, p in enumerate(pivots) if per_col[j])
+        want = [[similarity(hash_row(h, i), hash_row(h, p), metric) for p in pivots]
+                for i in range(60)]
+        np.testing.assert_allclose(got.toarray(), want, rtol=1e-12, atol=1e-15)
+
+
+@lru_cache(maxsize=None)
+def _chunk_case():
+    g = random_graph(4000, 4, seed=1)
+    return hash_all(g, WalkConfig(num_walks=128)), rank_nodes(pagerank(g))[:128]
+
+
+class TestChunkMemory:
+    @pytest.mark.parametrize("metric, arrays", [
+        ("euclidean", 3), ("seuclidean", 3), ("canberra", 4.5)])
+    def test_distance_chunk_peak(self, metric, arrays):
+        # a distance chunk fills one dense pivots x n block in place, whose
+        # values become the CSC columns without another copy; canberra also
+        # holds its sparse shared-coordinate sums
+        h, pivots = _chunk_case()
+        prepared = _prepare_metric(h, metric)
+        tracemalloc.start()
+        try:
+            cols = _metric_columns(prepared, pivots)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cols.shape == (h.shape[0], len(pivots))
+        unit = h.shape[0] * len(pivots) * 8
+        assert peak <= arrays * unit, f"peak {peak / unit:.2f} n x 128 arrays"
 
 
 @st.composite
@@ -227,8 +278,7 @@ class TestCanberraMatchesScipy:
     @given(positive_rows_and_pivots())
     def test_canberra_columns_match_cdist(self, case):
         h, pivots = case
-        got = _metric_columns(h, pivots, "canberra",
-                              _prepare_metric(h, "canberra")).toarray()
+        got = _metric_columns(_prepare_metric(h, "canberra"), pivots).toarray()
         a, p = h.toarray(), h[pivots].toarray()
         want = cdist(a, p, "canberra")
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)

@@ -48,6 +48,16 @@ class TestWalkConfig:
         with pytest.raises(ValueError, match=message):
             WalkConfig(**kwargs)
 
+    @pytest.mark.parametrize("weighted", ["false", "", 0, 1, None])
+    def test_weighted_must_be_a_bool(self, weighted):
+        with pytest.raises(ValueError, match="weighted must be a bool"):
+            WalkConfig(weighted=weighted)
+
+    def test_numpy_settings_kept_as_python_values(self):
+        cfg = WalkConfig(epsilon=np.float32(0.0078125), weighted=np.bool_(True))
+        assert type(cfg.epsilon) is float and cfg.epsilon == 0.0078125
+        assert cfg.weighted is True
+
     def test_defaults(self):
         cfg = WalkConfig()
         assert cfg.max_len == 5
