@@ -177,10 +177,12 @@ def _metric_columns(prepared: tuple, pivots: np.ndarray) -> sp.csc_matrix:
     empty pivot row stores no product.  Cosine and jaccard transpose it into
     an ``n x len(pivots)`` CSC block.  Canberra's values must be positive, as
     ``hash_all``'s are: with supports ``S``, a coordinate on one side only
-    adds 1, so the distance is ``|S_x| + |S_p| + sum(f - 2)`` over shared
-    coordinates, ``f = |x_i - p_i| / (x_i + p_i)``.  The join
+    adds 1, so the distance is ``|S_x| + |S_p| - 2 c + sum(f)`` over the
+    ``c`` shared coordinates, ``f = |x_i - p_i| / (x_i + p_i)``.  The join
     ``rows_t[p.indices]`` lists the nodes sharing each coordinate of ``p``; a
-    0/1 ``pivots x entries`` product sums the f (real part) and counts them.
+    0/1 ``pivots x entries`` product sums the f (real part) and counts them
+    (imaginary part) apart, and the block adds ``-2 c`` and the support sizes
+    before the f, since a per-coordinate ``f - 2`` would round small f away.
     The distance metrics fill a dense ``len(pivots) x n`` block in place,
     whose rows become the CSC columns on the same values.
     """

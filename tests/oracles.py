@@ -18,6 +18,9 @@ the slow, direct versions that pin it:
   arcs by a two-key ``lexsort`` and pins the edge mirroring and packed-key
   sort of ``symbed.graph.from_arcs``: the same ``offsets``, ``targets`` and
   ``weights``, bit for bit.
+- ``logreg_reference`` fits the protocol's logistic heads on explicitly
+  centered dense features to tight tolerances, the near-exact optimum that
+  ``symbed.evaluation.train_logreg``'s predictions are checked against.
 - ``neighbors`` reads one node's out-arc targets from the CSR arrays, for
   the dense per-node oracles and the graph tests.
 
@@ -33,6 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import minimize
+from scipy.special import expit
 
 from symbed.embedding import METRICS
 from symbed.graph import Graph
@@ -225,6 +230,33 @@ def topk_sets_oracle(P: np.ndarray, ks) -> list[frozenset[int]]:
     """Row-wise top-k_i class sets with ascending-id tie-breaks."""
     order = np.argsort(-P, axis=1, kind="stable")
     return [frozenset(int(c) for c in order[i, :ks[i]]) for i in range(len(ks))]
+
+
+def logreg_reference(X, Y: np.ndarray, reg: float = 1.0):
+    """``(W, b)`` minimising (sum of log losses + reg/2 ||W||^2) / n, solved
+    tightly (``gtol`` 1e-10, ``ftol`` 1e-16) on the explicitly centered dense
+    ``X - mean(X)`` and mapped back to the uncentered bias.  Every class
+    needs a positive row."""
+    X = X.toarray() if sp.issparse(X) else np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    assert Y.sum(axis=0).all()
+    n, d = X.shape
+    k = Y.shape[1]
+    mu = X.mean(axis=0)
+    Xc = X - mu
+
+    def fun(t):
+        W, b = t[:d * k].reshape(d, k), t[d * k:]
+        Z = Xc @ W + b
+        loss = np.logaddexp(0.0, Z).sum() - (Y * Z).sum() + 0.5 * reg * (W * W).sum()
+        G = expit(Z) - Y
+        return loss / n, np.concatenate([(Xc.T @ G + reg * W).ravel(),
+                                         G.sum(axis=0)]) / n
+
+    t = minimize(fun, np.zeros(d * k + k), jac=True, method="L-BFGS-B",
+                 options={"maxiter": 20000, "gtol": 1e-10, "ftol": 1e-16}).x
+    W = t[:d * k].reshape(d, k)
+    return W, t[d * k:] - mu @ W
 
 
 def neighbors(g: Graph, u: int) -> np.ndarray:

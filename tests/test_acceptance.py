@@ -188,8 +188,9 @@ class TestOracleEquivalences:
                 X = rng.random((n, d))
                 Y = (rng.random((n, k)) > 0.5).astype(float)
                 theta = rng.normal(size=d * k + k)
-                _, grad = logreg_loss_grad(theta, X, Y, reg=1.0)
-                fd = finite_difference_grad(theta, X, Y, reg=1.0)
+                mu = X.mean(axis=0)   # the training means train_logreg centers at
+                _, grad = logreg_loss_grad(theta, X, Y, 1.0, mu)
+                fd = finite_difference_grad(theta, X, Y, 1.0, mu)
                 rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)
                 assert rel.max() < 1e-5
 
