@@ -6,7 +6,11 @@ node, and aggregate micro/macro F1 over shuffles and repetitions.  The
 classifier is fit on implicitly centered features (the training rows' column
 means are folded into the bias, never subtracted from the sparse matrix);
 this is the same estimator, because the bias is unregularized, and the solve
-is far better conditioned for all-positive columns.  Includes
+is far better conditioned for all-positive columns.  Within one (repetition,
+shuffle) cell the fits run in fraction order, each L-BFGS solve (memory 20)
+starting from the previous fraction's heads; every cell starts from zero, so
+a cell depends only on its split key and embedding.  Features stored at
+density about 2/3 or more are fit as a dense array.  Includes
 the label-spreading and random-embedding baselines evaluated under the same
 splits.  Predicted and true classes are both boolean ``nodes x num_classes``
 indicator matrices; the true one is ``LabelTable.indicator``, read as stored.
@@ -53,7 +57,8 @@ def logreg_loss_grad(theta: np.ndarray, X, Y: np.ndarray, reg: float,
 
 
 class LogRegModel:
-    """Trained one-vs-rest heads; classes absent from training predict 0."""
+    """Trained one-vs-rest heads; classes absent from training predict 0,
+    classes on every training row 1."""
 
     def __init__(self, W, b, empty_classes):
         self.W = W
@@ -65,7 +70,7 @@ class LogRegModel:
         return np.asarray(P)
 
 
-def train_logreg(X, Y: np.ndarray) -> LogRegModel:
+def train_logreg(X, Y: np.ndarray, start: LogRegModel | None = None) -> LogRegModel:
     """Fit all one-vs-rest L2 logistic heads jointly with L-BFGS-B.
 
     The objective is (sum of per-head log losses + 1/2 * ||W||^2) divided by
@@ -73,6 +78,9 @@ def train_logreg(X, Y: np.ndarray) -> LogRegModel:
     separates per head.  X: (n, d) array or CSR; Y: (n, num_classes) 0/1
     indicators.  Heads whose class has no positive training example are
     skipped and flagged; they output probability 0, their empirical prior.
+    A class on every training row has no finite optimum either (its bias
+    grows without bound, and where L-BFGS stops depends on its path); its
+    head is skipped, not flagged, and outputs probability 1.
 
     The solve runs on features centered at the training rows' column means
     ``mu``: it minimises over ``(W, b')`` for ``(X - 1 mu^T) W + b'``.  As the
@@ -81,25 +89,37 @@ def train_logreg(X, Y: np.ndarray) -> LogRegModel:
     so the optimum is the same; centering only removes the near-collinearity
     of all-positive columns with the bias that slows L-BFGS.  The returned
     model holds ``W`` and ``b = b' - mu W``, the original parametrization.
+
+    `start`, an earlier model over the same classes (say, fit on other rows),
+    is the solve's starting point in place of 0: ``(W_s, b_s + mu W_s)`` in
+    the centered coordinates, for every head trained now whose ``b_s`` is
+    finite; the other heads start at 0.  The objective is strictly convex,
+    so the start changes the solver's path, not the optimum.  L-BFGS keeps
+    20 correction pairs (scipy's default is 10).
     """
     n, d = X.shape
     k = Y.shape[1]
     Y = np.asarray(Y, dtype=np.float64)
-    present = Y.sum(axis=0) > 0
-    active = np.flatnonzero(present)
-    empty = np.flatnonzero(~present).tolist()
+    counts = Y.sum(axis=0)
+    active = np.flatnonzero((counts > 0) & (counts < n))
+    empty = np.flatnonzero(counts == 0).tolist()
     W = np.zeros((d, k))
-    b = np.full(k, -np.inf)
+    b = np.where(counts > 0, np.inf, -np.inf)
     if len(active):
         Ya = Y[:, active]
         ka = len(active)
         # X.mean(axis=0) would copy a sparse X; sum does not
         mu = np.asarray(X.sum(axis=0)).ravel() / n
         x0 = np.zeros(d * ka + ka)
+        if start is not None:
+            warm = np.isfinite(start.b[active])
+            W0 = np.where(warm, start.W[:, active], 0.0)
+            x0[:d * ka] = W0.ravel()
+            x0[d * ka:] = np.where(warm, start.b[active] + mu @ W0, 0.0)
         fun = lambda t: logreg_loss_grad(t, X, Ya, 1.0, mu)
         theta = minimize(fun, x0, jac=True, method="L-BFGS-B",
-                         options={"maxiter": 500, "gtol": 1e-6,
-                                  "ftol": 1e-12}).x
+                         options={"maxiter": 500, "maxcor": 20,
+                                  "gtol": 1e-6, "ftol": 1e-12}).x
         Wa = theta[:d * ka].reshape(d, ka)
         W[:, active] = Wa
         b[active] = theta[d * ka:] - mu @ Wa
@@ -215,29 +235,41 @@ def _check_node_count(what: str, n: int, labels: LabelTable) -> None:
                             f"{labels.num_nodes}")
 
 
+def _cell(labels: LabelTable, cfg: ProtocolConfig, predict, rep: int, sh: int):
+    """Micro and macro F1 rows, one value per fraction, of one cell.
+
+    The split RNG is keyed by ``[seed, rep, sh]``.  `predict(train, test,
+    state)` returns the test nodes' predicted classes as a boolean
+    ``len(test) x num_classes`` indicator, scored against the rows of the
+    true-class indicator, and a state that the cell's next fraction gets
+    back; the first fraction gets None.
+    """
+    rng = np.random.default_rng([cfg.seed, rep, sh])
+    labeled = labels.labeled_nodes()
+    mrow, grow, state = [], [], None
+    for frac in cfg.train_fractions:
+        train, test = _split(labeled, frac, rng)
+        pred, state = predict(train, test, state)
+        micro, macro = micro_macro_f1(pred, labels.indicator[test])
+        mrow.append(micro)
+        grow.append(macro)
+    return mrow, grow
+
+
 def _split_runs(labels: LabelTable, cfg: ProtocolConfig, predictor):
     """Micro and macro F1 of every (repetition, shuffle) cell, per fraction.
 
-    `predictor(rep)` is called once per repetition and returns a function
-    `predict(train, test)` giving the test nodes' predicted classes as a
-    boolean ``len(test) x num_classes`` indicator, scored against the rows of
-    the true-class indicator.  Split RNG is keyed by ``[seed, rep, shuffle]``.
+    `predictor(rep)` is called once per repetition and returns the `predict`
+    function of that repetition's cells (see `_cell`); rows come in
+    (repetition, shuffle) order.
     """
-    labeled = labels.labeled_nodes()
-    truth = labels.indicator
-    if truth.any(axis=0).sum() < 2:
+    if labels.indicator.any(axis=0).sum() < 2:
         raise ProtocolError("need at least 2 classes among labeled nodes")
     micro_runs, macro_runs = [], []
     for rep in range(cfg.repetitions):
         predict = predictor(rep)
         for sh in range(cfg.shuffles):
-            rng = np.random.default_rng([cfg.seed, rep, sh])
-            mrow, grow = [], []
-            for frac in cfg.train_fractions:
-                train, test = _split(labeled, frac, rng)
-                micro, macro = micro_macro_f1(predict(train, test), truth[test])
-                mrow.append(micro)
-                grow.append(macro)
+            mrow, grow = _cell(labels, cfg, predict, rep, sh)
             micro_runs.append(mrow)
             macro_runs.append(grow)
     return micro_runs, macro_runs
@@ -250,8 +282,14 @@ def run_protocol(embedding: Embedding | None, labels: LabelTable,
 
     Each repetition uses a fresh embedding when `embedding_factory(rep)` is
     given (walks are stochastic, so regenerating captures that variance);
-    otherwise the passed embedding is reused.  Fully deterministic for a
-    fixed config seed.
+    otherwise the passed embedding is reused.  Within one (repetition,
+    shuffle) cell each fraction's fit starts from the previous fraction's
+    model (``train_logreg``'s `start`); the first fraction of every cell
+    starts from zero, so a cell's row depends only on its split key and the
+    repetition's embedding.  A matrix whose dense array takes no more bytes
+    than its CSR arrays (density about 2/3 or more, as for the random
+    baseline) is fit as that dense array, converted once per repetition.
+    Fully deterministic for a fixed config seed.
     """
     cfg = cfg or ProtocolConfig()
     if embedding is None and embedding_factory is None:
@@ -266,13 +304,16 @@ def run_protocol(embedding: Embedding | None, labels: LabelTable,
         _check_node_count("embedding", emb.num_nodes, labels)
         snapshot = dict(emb.config)
         X = emb.matrix
+        if X.shape[0] * X.shape[1] * X.dtype.itemsize <= (
+                X.data.nbytes + X.indices.nbytes + X.indptr.nbytes):
+            X = X.toarray()
 
-        def predict(train, test):
+        def predict(train, test, start):
             nonlocal empty_class_runs
-            model = train_logreg(X[train], labels.indicator[train])
+            model = train_logreg(X[train], labels.indicator[train], start)
             if model.empty_classes:
                 empty_class_runs += 1
-            return topk_sets(model.predict_proba(X[test]), labels_k[test])
+            return topk_sets(model.predict_proba(X[test]), labels_k[test]), model
         return predict
 
     micro_runs, macro_runs = _split_runs(labels, cfg, predictor)
@@ -329,8 +370,8 @@ def run_protocol_lp(g: Graph, labels: LabelTable,
     """Label-propagation baseline under the identical split schedule."""
     cfg = cfg or ProtocolConfig()
 
-    def predict(train, test):
-        return label_propagation(g, labels, train, alpha)[test]
+    def predict(train, test, _state):
+        return label_propagation(g, labels, train, alpha)[test], None
 
     micro_runs, macro_runs = _split_runs(labels, cfg, lambda rep: predict)
     return EvalReport.from_runs(cfg.train_fractions, micro_runs, macro_runs,

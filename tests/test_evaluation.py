@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symbed.evaluation
+from symbed.embedding import EmbeddingConfig, embed_fixed
 from symbed.evaluation import (EvalReport, LogRegModel, ProtocolConfig,
-                               ProtocolError, _split, label_propagation,
+                               ProtocolError, _cell, _split, label_propagation,
                                logreg_loss_grad, micro_macro_f1,
                                random_embedding, run_protocol, run_protocol_lp,
                                topk_sets, train_logreg)
 from symbed.graph import LabelTable, from_arcs
 from symbed.synth import planted_partition, random_graph
+from symbed.walks import WalkConfig
 
 from oracles import logreg_reference, topk_sets_oracle
 
@@ -167,6 +169,18 @@ class TestTrainLogreg:
         assert model.empty_classes == [1, 3]
         assert np.all(model.predict_proba(X)[:, [1, 3]] == 0.0)
 
+    def test_class_on_every_row_predicts_one(self):
+        # no finite optimum: the bias would grow until L-BFGS stops
+        X = np.random.default_rng(0).random((10, 3))
+        Y = np.zeros((10, 3))
+        Y[:, 0] = 1
+        Y[5:, 1] = 1
+        model = train_logreg(X, Y)
+        assert model.empty_classes == [2]
+        P = model.predict_proba(X)
+        assert np.all(P[:, 0] == 1.0) and np.all(P[:, 2] == 0.0)
+        assert np.all((P[:, 1] > 0.0) & (P[:, 1] < 1.0))
+
     def test_gd_solver_loss_non_increasing(self):
         rng = np.random.default_rng(8)
         X = rng.random((30, 4))
@@ -221,12 +235,87 @@ class TestTrainLogreg:
         np.testing.assert_allclose(fit(shifted).predict_proba(shifted),
                                    fit(X).predict_proba(X), rtol=0, atol=1e-6)
 
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 40),
+           m=st.integers(8, 40), d=st.integers(1, 5), k=st.integers(3, 4),
+           sparse=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_warm_start_leaves_probabilities_unchanged(self, seed, n, m, d, k,
+                                                       sparse):
+        # the start is fit on m other rows; class 0 is absent there (start
+        # bias -inf) and class k-1 absent from the n new rows.  Each fit
+        # stops at gtol 1e-6, and a cold fit's probabilities are themselves
+        # up to about 1e-5 from the tight optimum (logreg_reference), so the
+        # two fits agree to that tolerance, not to rounding: the worst of
+        # 3,000 draws was 5.9e-6
+        rng = np.random.default_rng(seed)
+        X = rng.random((n + m, d)) * (rng.random((n + m, d)) > 0.3)
+        Y = (rng.random((n + m, k)) > 0.5).astype(float)
+        Y[0, :k - 1] = 1.0
+        Y[n:, 0] = 0.0
+        Y[:n, k - 1] = 0.0
+        A = sp.csr_matrix(X) if sparse else X
+        start = train_logreg(A[n:], Y[n:])
+        assert start.b[0] == -np.inf
+        warm = train_logreg(A[:n], Y[:n], start)
+        assert warm.empty_classes == [k - 1]
+        np.testing.assert_allclose(warm.predict_proba(A),
+                                   train_logreg(A[:n], Y[:n]).predict_proba(A),
+                                   rtol=0, atol=5e-5)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_start_at_own_solution_stops_at_once(self, sparse, monkeypatch):
+        # all-positive columns put the centered bias b + mu W far from b, so
+        # a start mapped without mu W would take 10 or more calls here
+        rng = np.random.default_rng(11)
+        X = rng.random((60, 5)) * (rng.random((60, 5)) > 0.3) + 1.0
+        Y = (rng.random((60, 3)) > 0.5).astype(float)
+        A = sp.csr_matrix(X) if sparse else X
+        model = train_logreg(A, Y)
+        calls, _, success = count_fits(monkeypatch)
+        again = train_logreg(A, Y, model)
+        assert len(calls) <= 2 and success == [True]
+        np.testing.assert_allclose(again.predict_proba(A),
+                                   model.predict_proba(A), rtol=0, atol=1e-9)
+
 
 @pytest.fixture(scope="module")
-def cora_sized():
-    """The benchmark's cora-sized planted partition and random baseline."""
-    _, labels = planted_partition(2708, 7, 0.004, 0.0008, seed=1)
-    return labels, random_embedding(2708, 64, seed=0)
+def cora_partition():
+    """The benchmark's cora-sized planted partition."""
+    return planted_partition(2708, 7, 0.004, 0.0008, seed=1)
+
+
+@pytest.fixture(scope="module")
+def cora_sized(cora_partition):
+    """The cora-sized labels and the benchmark's random baseline."""
+    return cora_partition[1], random_embedding(2708, 64, seed=0)
+
+
+@pytest.fixture(scope="module")
+def cora_fixed(cora_partition):
+    """A small cosine fixed embedding of the cora-sized partition (about 20%
+    of its values stored)."""
+    return embed_fixed(cora_partition[0], EmbeddingConfig(
+        d=256, walk=WalkConfig(num_walks=64, seed=1)))
+
+
+def count_fits(monkeypatch):
+    """Wrap ``logreg_loss_grad`` and ``train_logreg`` by module-global name,
+    as the benchmark's tracer does, and ``minimize`` to keep each result's
+    ``success``; returns the loss/grad call count, fit count and successes."""
+    calls, fits, success = [], [], []
+    loss_grad, train = symbed.evaluation.logreg_loss_grad, train_logreg
+
+    def minimize(*args, **kwargs):
+        res = scipy.optimize.minimize(*args, **kwargs)
+        success.append(res.success)
+        return res
+
+    monkeypatch.setattr(symbed.evaluation, "logreg_loss_grad",
+                        lambda *a: calls.append(1) or loss_grad(*a))
+    monkeypatch.setattr(symbed.evaluation, "train_logreg",
+                        lambda *a: fits.append(1) or train(*a))
+    monkeypatch.setattr(symbed.evaluation, "minimize", minimize)
+    return calls, fits, success
 
 
 class TestCenteredSolve:
@@ -245,19 +334,54 @@ class TestCenteredSolve:
             topk_sets(model.predict_proba(X[test]), ks),
             topk_sets(expit(X[test] @ W + b), ks))
 
+    def test_random_baseline_warm_topk_matches_tight_reference(self,
+                                                               cora_sized):
+        # the same split, fit as the protocol does: dense, and warm-started
+        # from the cell's fraction-0.1 model
+        labels, emb = cora_sized
+        X = emb.matrix.toarray()
+        rng = np.random.default_rng([0, 1, 0])
+        model = None
+        for frac in (0.1, 0.2):
+            train, test = _split(labels.labeled_nodes(), frac, rng)
+            model = train_logreg(X[train], labels.indicator[train], model)
+        ks = labels.label_counts[test]
+        W, b = logreg_reference(X[train], labels.indicator[train])
+        np.testing.assert_array_equal(
+            topk_sets(model.predict_proba(X[test]), ks),
+            topk_sets(expit(X[test] @ W + b), ks))
+
     def test_random_baseline_loss_grad_calls_per_fit(self, cora_sized,
                                                      monkeypatch):
-        # wrapped by module-global name, as the benchmark's tracer does
         labels, emb = cora_sized
-        calls, fits = [], []
-        loss_grad, train = symbed.evaluation.logreg_loss_grad, train_logreg
-        monkeypatch.setattr(symbed.evaluation, "logreg_loss_grad",
-                            lambda *a: calls.append(1) or loss_grad(*a))
-        monkeypatch.setattr(symbed.evaluation, "train_logreg",
-                            lambda *a: fits.append(1) or train(*a))
+        calls, fits, _ = count_fits(monkeypatch)
         run_protocol(emb, labels, ProtocolConfig(shuffles=1, repetitions=2))
         assert len(fits) == 18
         assert len(calls) / len(fits) <= 40
+
+    def test_fixed_embedding_loss_grad_calls_per_fit(self, cora_partition,
+                                                     cora_fixed, monkeypatch):
+        # warm starts and 20 L-BFGS pairs make 33.5 calls per fit here, cold
+        # starts with 10 pairs 48.2
+        calls, fits, success = count_fits(monkeypatch)
+        run_protocol(cora_fixed, cora_partition[1],
+                     ProtocolConfig(shuffles=1, repetitions=2))
+        assert len(fits) == 18 and success == [True] * 18
+        assert len(calls) / len(fits) <= 40
+
+    def test_dense_features_fit_as_dense_array(self, cora_partition, cora_fixed,
+                                               monkeypatch):
+        # the random baseline is fully dense; the cosine embedding is not
+        labels = cora_partition[1]
+        assert cora_fixed.matrix.nnz < 2 / 3 * np.prod(cora_fixed.matrix.shape)
+        layouts, train = [], train_logreg
+        monkeypatch.setattr(symbed.evaluation, "train_logreg",
+                            lambda X, *a: layouts.append(sp.issparse(X))
+                            or train(X, *a))
+        cfg = ProtocolConfig(train_fractions=(0.5,), shuffles=1, repetitions=1)
+        run_protocol(random_embedding(2708, 8, 1), labels, cfg)
+        run_protocol(cora_fixed, labels, cfg)
+        assert layouts == [False, True]
 
 
 class TestPredictTopk:
@@ -349,8 +473,6 @@ class TestMicroMacroF1:
 class TestProtocol:
     def _setup(self):
         g, labels = planted_partition(90, 3, 0.25, 0.02, seed=4)
-        from symbed.embedding import EmbeddingConfig, embed_fixed
-        from symbed.walks import WalkConfig
         emb = embed_fixed(g, EmbeddingConfig(
             d=30, walk=WalkConfig(num_walks=32, seed=1)))
         return g, labels, emb
@@ -385,6 +507,38 @@ class TestProtocol:
         cfg = ProtocolConfig(train_fractions=(0.5,), shuffles=1, repetitions=3, seed=0)
         run_protocol(None, labels, cfg, embedding_factory=factory)
         assert calls == [0, 1, 2]
+
+    def test_cell_row_independent_of_other_cells(self, monkeypatch):
+        # each cell's fits chain along its fractions and restart at the
+        # next cell, so a cell run alone gives the row it gives in place
+        _, labels, emb = self._setup()
+        cfg = ProtocolConfig(shuffles=3, repetitions=2, seed=3)
+        seen, starts = {}, []
+        split_runs, train = symbed.evaluation._split_runs, train_logreg
+
+        def record(labels, cfg, predictor):
+            seen["predictor"] = predictor
+            seen["rows"] = split_runs(labels, cfg, predictor)
+            return seen["rows"]
+
+        def fit(X, Y, start=None):
+            model = train(X, Y, start)
+            starts.append((start, model))
+            return model
+
+        monkeypatch.setattr(symbed.evaluation, "_split_runs", record)
+        monkeypatch.setattr(symbed.evaluation, "train_logreg", fit)
+        run_protocol(emb, labels, cfg)
+        fractions = len(cfg.train_fractions)
+        assert len(starts) == cfg.repetitions * cfg.shuffles * fractions
+        for i, (start, _) in enumerate(starts):
+            assert start is (None if i % fractions == 0 else starts[i - 1][1])
+        micro, macro = seen["rows"]
+        for rep in range(cfg.repetitions):
+            for sh in range(cfg.shuffles):
+                alone = _cell(labels, cfg, seen["predictor"](rep), rep, sh)
+                row = rep * cfg.shuffles + sh
+                assert alone == (micro[row], macro[row])
 
     def test_fraction_validation(self):
         with pytest.raises(ValueError):
