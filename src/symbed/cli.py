@@ -1,6 +1,7 @@
 """Command-line front end: stats, rank, embed, eval, reproduce.
 
 Exit status: 0 on success, 1 on usage errors, 2 on data errors.
+Flag defaults are read from the library's configs; the loaders check input files.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from pathlib import Path
 
 from . import reference
 from .embedding import (METRICS, EmbeddingConfig, EmbeddingFormatError, _embed,
-                        embed_fixed, embed_sdf, load_embedding, save_embedding)
+                        load_embedding, save_embedding)
 from .evaluation import (ProtocolConfig, ProtocolError,
                          random_embedding, run_protocol, run_protocol_lp)
 from .graph import (GraphFormatError, LabelError, dataset_stats,
@@ -39,80 +40,76 @@ def _walk_config(args) -> WalkConfig:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     return WalkConfig(length_probs=_uniform_lengths(args.max_len),
                       num_walks=args.num_walks, epsilon=args.epsilon,
-                      seed=args.seed, weighted=getattr(args, "weighted", False))
+                      seed=args.seed, weighted=args.weighted)
 
 
 def _pagerank_config(args) -> PageRankConfig:
     return PageRankConfig(damping=args.damping, pure_power=args.pure_power)
 
 
-def _embedding_config(args, sdf: bool | None = None) -> EmbeddingConfig:
-    mode = "sdf" if (args.sdf if sdf is None else sdf) else "fixed"
+def _embedding_config(args, mode: str) -> EmbeddingConfig:
     return EmbeddingConfig(mode=mode, d=args.dim, budget_dim=args.budget_dim,
                            bins=args.bins, metric=args.metric,
                            walk=_walk_config(args), pagerank=_pagerank_config(args))
 
 
 def _add_walk_flags(p):
-    p.add_argument("--seed", type=int, default=0, help="global random seed")
+    p.add_argument("--seed", type=int, default=WalkConfig.seed,
+                   help="global random seed")
     p.add_argument("--workers", type=int, default=1,
                    help="threads for hashing and for scoring pivot column "
                         "chunks (outputs are the same for any count)")
-    p.add_argument("--epsilon", type=float, default=0.005,
+    p.add_argument("--epsilon", type=float, default=WalkConfig.epsilon,
                    help="hash pruning threshold")
-    p.add_argument("--max-len", type=int, default=5,
+    p.add_argument("--max-len", type=int, default=WalkConfig().max_len,
                    help="maximum walk length (lengths drawn uniformly)")
-    p.add_argument("--num-walks", type=int, default=1024, help="walks per node")
+    p.add_argument("--num-walks", type=int, default=WalkConfig.num_walks,
+                   help="walks per node")
     p.add_argument("--weighted", action="store_true",
                    help="sample neighbors proportionally to arc weight")
 
 
 def _add_embed_flags(p):
-    p.add_argument("--dim", type=int, default=2048, help="pivot columns (fixed mode)")
+    p.add_argument("--dim", type=int, default=EmbeddingConfig.d,
+                   help="pivot columns (fixed mode)")
     p.add_argument("--sdf", action="store_true",
                    help="size-budgeted mode: add columns until the value budget runs out")
-    p.add_argument("--budget-dim", type=int, default=256,
+    p.add_argument("--budget-dim", type=int, default=EmbeddingConfig.budget_dim,
                    help="sdf budget in equivalent dense columns")
-    p.add_argument("--bins", type=int, default=None,
+    p.add_argument("--bins", type=int, default=EmbeddingConfig.bins,
                    help="quantization bins (0 disables; default: 0 fixed / 256 sdf)")
-    p.add_argument("--metric", default="cosine", choices=METRICS)
+    p.add_argument("--metric", default=EmbeddingConfig.metric, choices=METRICS)
 
 
 def _add_pagerank_flags(p):
-    p.add_argument("--damping", type=float, default=0.85)
+    p.add_argument("--damping", type=float, default=PageRankConfig.damping)
     p.add_argument("--pure-power", action="store_true",
                    help="literal undamped iteration, no dangling handling")
 
 
 def _add_protocol_flags(p):
-    p.add_argument("--fractions", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
+    p.add_argument("--fractions", default=",".join(map(str, ProtocolConfig.train_fractions)),
                    help="comma-separated train fractions in (0,1)")
-    p.add_argument("--shuffles", type=int, default=10)
-    p.add_argument("--reps", type=int, default=10)
+    p.add_argument("--shuffles", type=int, default=ProtocolConfig.shuffles)
+    p.add_argument("--reps", type=int, default=ProtocolConfig.repetitions)
 
 
 def _protocol_config(args) -> ProtocolConfig:
-    fractions = tuple(float(f) for f in args.fractions.split(","))
+    try:
+        fractions = tuple(float(f) for f in args.fractions.split(","))
+    except ValueError as exc:
+        raise ValueError(f"--fractions: {exc}") from None
     return ProtocolConfig(train_fractions=fractions, shuffles=args.shuffles,
                           repetitions=args.reps, seed=args.seed)
 
 
-def _require_file(path):
-    if not Path(path).is_file():
-        raise FileNotFoundError(f"input file not found: {path}")
-
-
 def _load_graph(args):
-    _require_file(args.edges)
     return load_edge_list(args.edges, directed=args.directed)
 
 
 def cmd_stats(args) -> int:
     g = _load_graph(args)
-    labels = None
-    if args.labels:
-        _require_file(args.labels)
-        labels = load_labels(args.labels, g.num_nodes)
+    labels = load_labels(args.labels, g.num_nodes) if args.labels else None
     print(dataset_stats(g, labels).to_json())
     return 0
 
@@ -127,7 +124,7 @@ def cmd_rank(args) -> int:
 
 def cmd_embed(args) -> int:
     g = _load_graph(args)
-    cfg = _embedding_config(args)
+    cfg = _embedding_config(args, "sdf" if args.sdf else "fixed")
     emb, hashes, seconds = _embed(g, cfg, args.workers)
     if args.dump_hashes:
         dump_hashes(hashes, args.dump_hashes)
@@ -142,18 +139,15 @@ def cmd_embed(args) -> int:
 
 def cmd_eval(args) -> int:
     emb = load_embedding(args.embedding)
-    _require_file(args.labels)
     labels = load_labels(args.labels, emb.num_nodes)
     cfg = _protocol_config(args)
-    if args.baseline == "random":
-        emb = random_embedding(emb.num_nodes, dim=64, seed=args.seed)
-        report = run_protocol(emb, labels, cfg)
-    elif args.baseline == "lp":
+    if args.baseline == "lp":
         if not args.edges:
             raise ProtocolError("--baseline lp requires --edges")
-        g = _load_graph(args)
-        report = run_protocol_lp(g, labels, cfg, alpha=args.alpha)
+        report = run_protocol_lp(_load_graph(args), labels, cfg, alpha=args.alpha)
     else:
+        if args.baseline == "random":
+            emb = random_embedding(emb.num_nodes, seed=args.seed)
         report = run_protocol(emb, labels, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -167,12 +161,11 @@ def cmd_eval(args) -> int:
 def _reproduce_rows(args, g, labels, cfg):
     rows = []
     for mode in ("fixed", "sdf"):
-        ecfg = _embedding_config(args, sdf=(mode == "sdf"))
-        fn = embed_sdf if mode == "sdf" else embed_fixed
+        ecfg = _embedding_config(args, mode)
 
-        def build(rep, ecfg=ecfg, fn=fn):
+        def build(rep, ecfg=ecfg):
             walk = dataclasses.replace(ecfg.walk, seed=args.seed + rep)
-            return fn(g, dataclasses.replace(ecfg, walk=walk), workers=args.workers)
+            return _embed(g, dataclasses.replace(ecfg, walk=walk), args.workers)[0]
 
         if args.reuse_embedding:
             report = run_protocol(build(0), labels, cfg)
@@ -180,7 +173,7 @@ def _reproduce_rows(args, g, labels, cfg):
             report = run_protocol(None, labels, cfg, embedding_factory=build)
         rows.append((mode, report))
     rows.append(("random",
-                 run_protocol(random_embedding(g.num_nodes, 64, args.seed), labels, cfg)))
+                 run_protocol(random_embedding(g.num_nodes, seed=args.seed), labels, cfg)))
     rows.append(("label_propagation", run_protocol_lp(g, labels, cfg, alpha=args.alpha)))
     return rows
 
@@ -194,9 +187,7 @@ def cmd_reproduce(args) -> int:
     base = Path(args.data_dir) / name
     args.edges = base / "edges.tsv"
     args.labels = base / "labels.tsv"
-    _require_file(args.edges)
-    _require_file(args.labels)
-    g = load_edge_list(args.edges, directed=args.directed)
+    g = _load_graph(args)
     labels = load_labels(args.labels, g.num_nodes)
 
     stats = dataset_stats(g, labels)
@@ -257,7 +248,7 @@ def build_parser() -> _Parser:
     p.add_argument("--edges", help="edge list (needed for --baseline lp)")
     p.add_argument("--directed", action="store_true")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=ProtocolConfig.seed)
     p.add_argument("--baseline", choices=["lp", "random"])
     p.add_argument("--alpha", type=float, default=0.9)
     _add_protocol_flags(p)
@@ -282,19 +273,15 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.fn(args)
-    except _DATA_ERRORS as exc:
+    except (*_DATA_ERRORS, ValueError) as exc:
         print(f"symbed {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"symbed {args.command}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _DATA_ERRORS) else 1
 
 
 if __name__ == "__main__":

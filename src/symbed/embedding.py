@@ -109,7 +109,7 @@ class EmbeddingConfig:
             raise ValueError(f"unknown metric {self.metric!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class Embedding:
     """Node-by-pivot score matrix, any scipy sparse one kept as CSR, plus
     the column -> node id map."""
@@ -137,12 +137,12 @@ class Embedding:
 
     @property
     def value_bits(self) -> int:
-        """16 when ``config["bins"]`` is an int >= 2 (quantized), else 32."""
+        """16 when ``config["bins"]`` is an int >= 2, else 32, the tag for float64 values."""
         return 16 if _valid_bins(self.config) else 32
 
     @property
     def value_payload_bytes(self) -> int:
-        """Bytes needed for the stored values at the tagged precision."""
+        """Bytes of the stored values at the ``value_bits`` tag, not the stored width."""
         return self.nnz * self.value_bits // 8
 
 

@@ -178,7 +178,8 @@ class EvalReport:
     """Per-fraction micro/macro F1 means and stds plus overall aggregates.
 
     The aggregate mean averages the per-fraction means; the aggregate std is
-    the population spread of those means across fractions.
+    the population spread of those means across fractions.  ``config`` is
+    the embedding's snapshot, the last repetition's under a factory.
     """
 
     fractions: list[float]
@@ -289,6 +290,8 @@ def run_protocol(embedding: Embedding | None, labels: LabelTable,
     repetition's embedding.  A matrix whose dense array takes no more bytes
     than its CSR arrays (density about 2/3 or more, as for the random
     baseline) is fit as that dense array, converted once per repetition.
+    Each repetition overwrites the report's ``config`` snapshot, so under
+    ``symbed reproduce`` it shows the last walk seed, ``--seed + reps - 1``.
     Fully deterministic for a fixed config seed.
     """
     cfg = cfg or ProtocolConfig()

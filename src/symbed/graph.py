@@ -51,7 +51,7 @@ def flag_setting(name: str, value) -> bool:
     raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable directed multigraph in CSR form.
 
@@ -264,7 +264,7 @@ class LabelError(ValueError):
     """Malformed label file or indicator, or out-of-range ids."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelTable:
     """Node classes as one read-only bool ``nodes x num_classes`` indicator."""
 

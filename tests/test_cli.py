@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import io
 import json
 
@@ -7,9 +9,9 @@ import pytest
 import symbed.cli
 import symbed.embedding
 import symbed.walks
-from symbed.cli import main
-from symbed.embedding import EmbeddingConfig, embed_sdf
-from symbed.evaluation import ProtocolConfig, run_protocol
+from symbed.cli import _embedding_config, _protocol_config, build_parser, main
+from symbed.embedding import EmbeddingConfig, _config_snapshot, embed_fixed, embed_sdf
+from symbed.evaluation import ProtocolConfig, run_protocol, run_protocol_lp
 from symbed.graph import load_edge_list, load_labels, write_edge_list
 from symbed.synth import planted_partition
 from symbed.walks import WalkConfig, dump_hashes, hash_all
@@ -29,6 +31,38 @@ def dataset(tmp_path):
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def assert_missing_input(argv, missing, capsys):
+    """A missing input file is a data error that names the file."""
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert str(missing) in err and "Traceback" not in err
+
+
+class TestDefaults:
+    """Flags left unset give the library's own defaults."""
+
+    REQUIRED = {"embed": ["embed", "--edges", "e.tsv", "--out", "o"],
+                "eval": ["eval", "emb", "--labels", "l.tsv", "--out", "o"],
+                "reproduce": ["reproduce", "cora"]}
+
+    @pytest.mark.parametrize("mode", ["fixed", "sdf"])
+    @pytest.mark.parametrize("command", ["embed", "reproduce"])
+    def test_embedding_flags(self, command, mode):
+        args = build_parser().parse_args(self.REQUIRED[command])
+        assert (_config_snapshot(_embedding_config(args, mode))
+                == _config_snapshot(EmbeddingConfig(mode=mode)))
+        workers = inspect.signature(embed_fixed).parameters["workers"].default
+        assert args.workers == workers
+
+    @pytest.mark.parametrize("command", ["eval", "reproduce"])
+    def test_protocol_flags(self, command):
+        args = build_parser().parse_args(self.REQUIRED[command])
+        assert (dataclasses.asdict(_protocol_config(args))
+                == dataclasses.asdict(ProtocolConfig()))
+        alpha = inspect.signature(run_protocol_lp).parameters["alpha"].default
+        assert args.alpha == alpha
 
 
 class TestStats:
@@ -51,6 +85,10 @@ class TestStats:
 
     def test_missing_flag_is_usage_error(self):
         assert run(["stats"]) == 1
+
+    def test_missing_file_is_named(self, tmp_path, capsys):
+        missing = tmp_path / "nope.tsv"
+        assert_missing_input(["stats", "--edges", missing], missing, capsys)
 
 
 class TestRank:
@@ -221,6 +259,26 @@ class TestEval:
         assert run(["eval", emb, "--labels", labels, "--out", tmp_path / "x",
                     "--fractions", "0.5", "--shuffles", 1, "--reps", 1]) == 2
 
+    def test_missing_labels_is_named(self, dataset, tmp_path, capsys):
+        edges, _ = dataset
+        emb = self._embed(edges, tmp_path)
+        missing = tmp_path / "nope.tsv"
+        assert_missing_input(["eval", emb, "--labels", missing, "--out", tmp_path / "x",
+                              "--fractions", "0.5", "--shuffles", 1, "--reps", 1],
+                             missing, capsys)
+
+    @pytest.mark.parametrize("fractions, bad", [("", "''"), ("0.5,x", "'x'")])
+    def test_fraction_that_cannot_parse_is_usage_error(self, dataset, tmp_path, capsys,
+                                                       fractions, bad):
+        edges, labels = dataset
+        emb = self._embed(edges, tmp_path)
+        capsys.readouterr()
+        assert run(["eval", emb, "--labels", labels, "--out", tmp_path / "x",
+                    "--fractions", fractions, "--shuffles", 1, "--reps", 1]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("symbed eval: ") and "--fractions" in err and bad in err
+        assert "Traceback" not in err
+
     def test_lp_baseline_needs_edges(self, dataset, tmp_path):
         edges, labels = dataset
         emb = self._embed(edges, tmp_path)
@@ -315,6 +373,14 @@ class TestReproduce:
 
     def test_missing_files_data_error(self, tmp_path):
         assert run(["reproduce", "cora", "--data-dir", tmp_path]) == 2
+
+    def test_missing_labels_is_named(self, dataset, tmp_path, capsys):
+        edges, _ = dataset
+        data = tmp_path / "data" / "cora"
+        data.mkdir(parents=True)
+        (data / "edges.tsv").write_bytes(edges.read_bytes())
+        assert_missing_input(["reproduce", "cora", "--data-dir", tmp_path / "data"],
+                             data / "labels.tsv", capsys)
 
     def test_reproduce_on_stand_in_data(self, dataset, tmp_path, capsys):
         # functional check with a small stand-in network published under a

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import symbed
-from symbed import (EmbeddingConfig, PageRankConfig, ProtocolConfig, WalkConfig,
-                    embed_fixed, planted_partition, random_embedding, run_protocol,
-                    save_embedding)
+from symbed import (EmbeddingConfig, LabelTable, PageRankConfig, ProtocolConfig,
+                    WalkConfig, embed_fixed, planted_partition, random_embedding,
+                    random_graph, run_protocol, save_embedding)
 
 
 def test_export_list_resolves():
@@ -93,3 +93,15 @@ def test_numpy_int_settings_write_the_same_files(tmp_path):
                     for f in ("embedding.npz", "feature_map.tsv", "config.json")]
                    + [report.to_json()])
     assert out[0] == out[1]
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: random_graph(10, 2, seed=1), id="Graph"),
+    pytest.param(lambda: LabelTable(np.eye(4, 2, dtype=bool)), id="LabelTable"),
+    pytest.param(lambda: random_embedding(5, 3, seed=1), id="Embedding")])
+def test_array_holding_types_compare_by_identity(make):
+    """Types holding arrays compare and hash by identity: copies with the same
+    content are unequal, and neither comparing nor hashing raises."""
+    a, b = make(), make()
+    assert a == a and a != b and not a == b
+    assert len({a, b, a}) == 2
